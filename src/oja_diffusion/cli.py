@@ -6,8 +6,8 @@ Subcommands: run, ode, sde, phases, mc, rates.  Each takes a JSON config via
 names the failing field), 1 on runtime errors.  A manifest.json naming the
 command, config, seed and tool version is written atomically before any
 result file; wall time and output hashes are added once results exist.
-Every file write goes through a temp-then-rename, so interrupted runs never
-leave partial files.
+Every file write goes through one temp-then-rename writer, so an interrupted
+or failed write leaves neither a partial file nor a stray temp file.
 """
 
 from __future__ import annotations
@@ -105,12 +105,17 @@ def _t_grid(cfg: dict, key: str = "t_grid", default=_REQUIRED):
     return grid
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Produce ``path`` by ``write(tmp)`` on a sibling temp file, then rename it.
+
+    The temp file is removed when ``write`` or the rename fails, so a failed
+    write leaves neither a partial ``path`` nor a stray temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -118,8 +123,16 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
+def _write_text(path: str, text: str) -> None:
+    def write(tmp):
+        with open(tmp, "w") as fh:
+            fh.write(text)
+
+    _atomic_write(path, write)
+
+
 def _write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _sha256(path: str) -> str:
@@ -128,19 +141,6 @@ def _sha256(path: str) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _atomic_table(table: Table, path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
-    os.close(fd)
-    try:
-        table.to_csv(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 class _Runner:
@@ -190,7 +190,7 @@ def _gnuplot_stub(runner: _Runner) -> None:
     for name in csvs:
         lines.append(f'plot "{name}" using 1:2 with lines')
         lines.append("pause -1")
-    _atomic_write(runner.path("plot.gp"), "\n".join(lines) + "\n")
+    _write_text(runner.path("plot.gp"), "\n".join(lines) + "\n")
 
 
 def _oja_config(cfg: dict, spec, seed, default_init="uniform", default_sampler="bounded"):
@@ -216,10 +216,8 @@ def cmd_run(cfg: dict, runner: _Runner, args) -> None:
     include_states = bool(_field(cfg, "include_states", True))
     runner.begin()
     traj = run_chain(chain_cfg)
-    path = runner.path("trajectory.csv")
-    tmp = path + ".tmp"
-    traj.to_csv(tmp, include_states=include_states)
-    os.replace(tmp, path)
+    _atomic_write(runner.path("trajectory.csv"),
+                  lambda tmp: traj.to_csv(tmp, include_states=include_states))
     _write_json(
         runner.path("summary.json"),
         {
@@ -245,10 +243,7 @@ def cmd_ode(cfg: dict, runner: _Runner, args) -> None:
         raise ConfigError("config field 't_grid': times must be nonnegative")
     delta = cfg.get("delta")
     runner.begin()
-    path = runner.path("ode_curve.csv")
-    tmp = path + ".tmp"
-    export_curve(spec, v0, grid, tmp)
-    os.replace(tmp, path)
+    _atomic_write(runner.path("ode_curve.csv"), lambda tmp: export_curve(spec, v0, grid, tmp))
     summary = {"d": spec.d, "t_max": float(grid.max())}
     if delta is not None:
         summary["delta"] = float(delta)
@@ -275,10 +270,7 @@ def cmd_sde(cfg: dict, runner: _Runner, args) -> None:
     seed = runner.manifest["master_seed"]
     runner.begin()
     path_obj = simulate_ou(ou, u0, t_end, dt, seed)
-    csv_path = runner.path("ou_path.csv")
-    tmp = csv_path + ".tmp"
-    path_obj.to_csv(tmp)
-    os.replace(tmp, csv_path)
+    _atomic_write(runner.path("ou_path.csv"), path_obj.to_csv)
     if n_paths >= 2:
         times, means, varis = ou_ensemble_moments(ou, u0, grid, dt, n_paths, seed)
         m = spec.d - 1
@@ -299,7 +291,8 @@ def cmd_sde(cfg: dict, runner: _Runner, args) -> None:
                 + tuple(float(x) for x in mean_c)
                 + tuple(float(x) for x in var_c)
             )
-        _atomic_table(Table(columns=tuple(cols), rows=rows), runner.path("ou_moments.csv"))
+        table = Table(columns=tuple(cols), rows=rows)
+        _atomic_write(runner.path("ou_moments.csv"), table.to_csv)
 
 
 def cmd_phases(cfg: dict, runner: _Runner, args) -> None:
@@ -326,16 +319,15 @@ def cmd_phases(cfg: dict, runner: _Runner, args) -> None:
             config={"spec": [float(x) for x in spec.lambdas], "beta": beta,
                     "delta": delta, "k": k},
         )
-    _atomic_write(runner.path("crossing_report.json"), report.to_json() + "\n")
-    _atomic_write(runner.path("crossing_report.txt"), report.to_text() + "\n")
+    _write_text(runner.path("crossing_report.json"), report.to_json() + "\n")
+    _write_text(runner.path("crossing_report.txt"), report.to_text() + "\n")
     if betas is not None:
         rows = []
         for b in betas:
             r21, r31 = cutoff_ratios(spec, float(b), delta, k)
             rows.append((float(b), r21, r31))
-        _atomic_table(
-            Table(columns=("beta", "r21", "r31"), rows=rows), runner.path("cutoff.csv")
-        )
+        table = Table(columns=("beta", "r21", "r31"), rows=rows)
+        _atomic_write(runner.path("cutoff.csv"), table.to_csv)
 
 
 def cmd_mc(cfg: dict, runner: _Runner, args) -> None:
@@ -406,7 +398,7 @@ def cmd_mc(cfg: dict, runner: _Runner, args) -> None:
         )
 
     for key, table in result.tables.items():
-        _atomic_table(table, runner.path(f"{result.name}_{key}.csv"))
+        _atomic_write(runner.path(f"{result.name}_{key}.csv"), table.to_csv)
     _write_json(
         runner.path("summary.json"),
         {"experiment": result.name, "summary": result.summary, "config": result.config_echo},
@@ -423,8 +415,8 @@ def cmd_rates(cfg: dict, runner: _Runner, args) -> None:
     except ValueError as e:
         raise ConfigError(f"rate parameters are invalid: {e}") from None
     runner.begin()
-    _atomic_write(runner.path("rate_report.json"), report.to_json() + "\n")
-    _atomic_write(runner.path("rate_table.txt"), report.to_text() + "\n")
+    _write_text(runner.path("rate_report.json"), report.to_json() + "\n")
+    _write_text(runner.path("rate_table.txt"), report.to_text() + "\n")
 
 
 _COMMANDS = {

@@ -1,10 +1,11 @@
 """Ensemble simulation and the validation experiments.
 
-The engine runs many chains in lockstep as one (n_chains, d) array update per
-step.  Chain i draws its stream from ``chain_rng(master_seed, i)`` in fixed
-blocks, so results are bit-identical for a given config no matter how chains
-are chunked across workers, and chain 0 reproduces :func:`oja.run_chain` with
-the same master seed.
+The engine splits the chains into one chunk per worker and runs each chunk
+through the lockstep kernel of :mod:`oja_diffusion.oja`, the same kernel that
+:func:`oja.run_chain` runs on chain 0 alone.  Chain i draws its stream from
+``chain_rng(master_seed, i)`` in fixed blocks, so results are bit-identical
+for a given config no matter how chains are chunked across workers, and chain
+0 reproduces :func:`oja.run_chain` with the same master seed.
 
 Experiments map diffusion-limit predictions onto ensemble statistics:
 
@@ -32,9 +33,17 @@ from typing import Optional
 import numpy as np
 
 from .ode import logistic_solution
-from .oja import OjaConfig, Trajectory, SAMPLE_BLOCK, resolve_init, record_steps as _record_steps
+from .oja import (
+    OjaConfig,
+    Trajectory,
+    _parse_preset,
+    _run_lockstep,
+    record_steps as _record_steps,
+    resolve_init,
+)
 from .phases import (
     PhaseThresholds,
+    _saddle_index,
     crossing_report,
     predict_crossings,
     rate_bound_sin2,
@@ -46,7 +55,6 @@ from .spectrum import (
     GAUSSIAN_SAMPLER_NOTE,
     chain_rng,
     derive_seed,
-    get_sampler,
 )
 
 __all__ = [
@@ -111,38 +119,6 @@ class EnsembleConfig:
         return grid_to_steps(self.t_grid, self.base.beta, self.base.n_steps)
 
 
-def _run_chunk(base: OjaConfig, chain_lo: int, chain_hi: int, rec_steps: np.ndarray) -> np.ndarray:
-    """Run chains [chain_lo, chain_hi) in lockstep; returns (n_rec, n_chunk, d)."""
-    spec = base.spec
-    d = spec.d
-    beta = base.beta
-    n = int(base.n_steps)
-    draw = get_sampler(base.sampler)
-    rngs = [chain_rng(base.seed, i) for i in range(chain_lo, chain_hi)]
-    v = np.stack([resolve_init(spec, base.init, rng) for rng in rngs])
-    out = np.empty((len(rec_steps), len(rngs), d))
-    pos = 0
-    if rec_steps[0] == 0:
-        out[0] = v
-        pos = 1
-    step = 0
-    while step < n:
-        blk = min(SAMPLE_BLOCK, n - step)
-        ys = np.stack([draw(spec, rng, blk) for rng in rngs])  # (chunk, blk, d)
-        for j in range(blk):
-            y = ys[:, j, :]
-            s = np.einsum("cd,cd->c", v, y)
-            v = v + beta * s[:, None] * y
-            nrm = np.sqrt(np.einsum("cd,cd->c", v, v))
-            v /= nrm[:, None]
-            step += 1
-            if pos < len(rec_steps) and rec_steps[pos] == step:
-                assert np.all(np.abs(np.einsum("cd,cd->c", v, v) - 1.0) <= 1e-11)
-                out[pos] = v
-                pos += 1
-    return out
-
-
 def run_ensemble_states(
     base: OjaConfig, n_chains: int, rec_steps: np.ndarray, workers: int = 1
 ) -> np.ndarray:
@@ -159,11 +135,11 @@ def run_ensemble_states(
         raise ValueError("record steps must lie within [0, n_steps]")
     workers = max(1, int(workers))
     if workers == 1 or n_chains < 2 * workers:
-        return _run_chunk(base, 0, n_chains, rec_steps)
+        return _run_lockstep(base, range(n_chains), rec_steps)
     bounds = np.linspace(0, n_chains, workers + 1).astype(int)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_run_chunk, base, int(lo), int(hi), rec_steps)
+            pool.submit(_run_lockstep, base, range(lo, hi), rec_steps)
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
         ]
@@ -283,8 +259,7 @@ def _config_echo(base: OjaConfig, n_chains: int, t_grid=None, **extra) -> dict:
 def _deterministic_init_vector(base: OjaConfig) -> np.ndarray:
     """Resolve the init when it does not depend on the chain stream."""
     if isinstance(base.init, str):
-        kind = base.init.split(":")[0]
-        if kind in ("uniform", "near_saddle"):
+        if _parse_preset(base.spec, base.init)[0] in ("uniform", "near_saddle"):
             raise ValueError(
                 f"experiment needs a deterministic init shared by all chains, "
                 f"got random preset {base.init!r}"
@@ -474,11 +449,7 @@ def phase_portrait_experiment(
     median terminal plateau (per-chain trailing-window mean at the horizon).
     """
     base = cfg.base
-    if k is None:
-        if isinstance(base.init, str) and base.init.split(":")[0] in ("saddle", "near_saddle"):
-            k = int(base.init.split(":")[1])
-        else:
-            raise ValueError("saddle index k is required when the init preset does not name one")
+    k = _saddle_index(base, k)
     thresholds = PhaseThresholds(delta=delta)
     rec_steps = _record_steps(base.n_steps, base.resolved_stride())
     states = run_ensemble_states(base, cfg.n_chains, rec_steps, workers=workers)

@@ -17,6 +17,13 @@ and the remainder of the projection, which is O(B^2 beta^2) whenever
 ||Y||^2 <= B and beta <= 1/(3B).  ``empirical_drift`` averages raw increments
 over a fresh stream to expose the drift beta v_k (lambda_k - v' Lambda v) that
 the deterministic limit integrates.
+
+Every trajectory comes from one lockstep kernel that steps an (n_chains, d)
+array of states through the same update expression as ``oja_step``.
+``run_chain`` runs it on chain 0 alone and the Monte Carlo ensembles run it
+on chunks of chains, so a single chain is bit for bit chain 0 of an ensemble.
+After each sample block the kernel checks the states recorded in it (finite,
+unit norm within 1e-11) and raises ``FloatingPointError`` when one is not.
 """
 
 from __future__ import annotations
@@ -52,18 +59,26 @@ _TARGET_RECORDS = 10_000
 InitSpec = Union[str, Sequence[float], np.ndarray]
 
 
+def _project(v: np.ndarray, y: np.ndarray, beta) -> np.ndarray:
+    """The projected update on the last axis, shared by every caller."""
+    s = np.einsum("...d,...d->...", v, y)
+    w = v + beta * s[..., None] * y
+    return w / np.sqrt(np.einsum("...d,...d->...", w, w))[..., None]
+
+
+def _off_sphere(states: np.ndarray, tol: float) -> bool:
+    """True when some state on the last axis is not a unit vector within tol.
+
+    NaN never compares as within tol, so non-finite states count as off.
+    """
+    return not np.all(np.abs(np.einsum("...d,...d->...", states, states) - 1.0) <= tol)
+
+
 def oja_step(v: np.ndarray, y: np.ndarray, beta) -> np.ndarray:
     """One projected update.  Accepts batched inputs on leading axes."""
-    v = np.asarray(v, dtype=float)
-    y = np.asarray(y, dtype=float)
-    s = np.sum(v * y, axis=-1, keepdims=True)
-    w = v + np.asarray(beta) * s * y
-    nrm = np.sqrt(np.sum(w * w, axis=-1, keepdims=True))
-    if np.any(nrm <= 1e-300) or not np.all(np.isfinite(nrm)):
-        raise ValueError("update collapsed the iterate to (near) zero norm")
-    out = w / nrm
-    if out.ndim == 1:
-        assert abs(float(out @ out) - 1.0) <= 1e-12
+    out = _project(np.asarray(v, dtype=float), np.asarray(y, dtype=float), beta)
+    if _off_sphere(out, 1e-12):
+        raise ValueError("update collapsed the iterate: the result is not a finite unit vector")
     return out
 
 
@@ -292,42 +307,57 @@ def record_steps(n_steps: int, stride: int) -> np.ndarray:
     return steps
 
 
+def _run_lockstep(base: OjaConfig, chains: range, rec_steps: np.ndarray) -> np.ndarray:
+    """Run chains ``chains`` of ``base`` in lockstep: states (n_rec, n_chains, d).
+
+    Chain i draws its init (when random) and then its samples from
+    ``chain_rng(base.seed, i)`` in blocks of :data:`SAMPLE_BLOCK`, so a chain's
+    values never depend on which other chains share the run.  ``rec_steps``
+    must be strictly increasing within [0, n_steps].  After each block the
+    states recorded in it must be finite unit vectors within 1e-11, else
+    ``FloatingPointError`` (a runtime fault, not a config error).
+    """
+    spec = base.spec
+    beta = base.beta
+    n = int(base.n_steps)
+    draw = get_sampler(base.sampler)
+    rngs = [chain_rng(base.seed, i) for i in chains]
+    v = np.array([resolve_init(spec, base.init, rng) for rng in rngs])
+    out = np.empty((len(rec_steps), len(rngs), spec.d))
+    ys = np.empty((SAMPLE_BLOCK, len(rngs), spec.d))
+    pos = 0
+    if rec_steps[0] == 0:
+        out[0] = v
+        pos = 1
+    step = 0
+    while step < n:
+        blk = min(SAMPLE_BLOCK, n - step)
+        for i, rng in enumerate(rngs):
+            ys[:blk, i] = draw(spec, rng, blk)
+        first = pos
+        for y in ys[:blk]:
+            v = _project(v, y, beta)
+            step += 1
+            if pos < len(rec_steps) and rec_steps[pos] == step:
+                out[pos] = v
+                pos += 1
+        if _off_sphere(out[first:pos], 1e-11):
+            raise FloatingPointError(
+                f"chain states left the unit sphere by step {step} (non-finite, or "
+                f"squared norm off 1 by more than 1e-11); beta={beta} is likely too "
+                f"large for the '{base.sampler}' stream"
+            )
+    return out
+
+
 def run_chain(config: OjaConfig) -> Trajectory:
     """Run one chain and record every ``record_stride``-th state.
 
-    Deterministic given the config: the stream is ``chain_rng(seed, 0)``, the
-    init (when random) is drawn from it first, and samples are consumed in
-    blocks of :data:`SAMPLE_BLOCK`.
+    Deterministic given the config: the chain is chain 0 of a lockstep run, so
+    its stream is ``chain_rng(seed, 0)``, the init (when random) is drawn from
+    it first, and samples are consumed in blocks of :data:`SAMPLE_BLOCK`.
     """
-    spec = config.spec
-    rng = chain_rng(config.seed, 0)
-    v = resolve_init(spec, config.init, rng)
     steps = record_steps(config.n_steps, config.resolved_stride())
-    states = np.empty((len(steps), spec.d))
-    pos = 0
-    if steps[0] == 0:
-        states[0] = v
-        pos = 1
-    draw = get_sampler(config.sampler)
-    beta = config.beta
-    step = 0
-    n = int(config.n_steps)
-    while step < n:
-        blk = min(SAMPLE_BLOCK, n - step)
-        ys = draw(spec, rng, blk)
-        for j in range(blk):
-            # Inlined oja_step with the same operation order (hot loop).
-            y = ys[j]
-            s = np.sum(v * y)
-            w = v + (beta * s) * y
-            nrm = np.sqrt(np.sum(w * w))
-            if not nrm > 1e-300:
-                raise ValueError("update collapsed the iterate to (near) zero norm")
-            v = w / nrm
-            step += 1
-            if pos < len(steps) and steps[pos] == step:
-                assert abs(float(v @ v) - 1.0) <= 1e-11
-                states[pos] = v
-                pos += 1
+    states = _run_lockstep(config, range(1), steps)[:, 0]
     sin2 = 1.0 - states[:, 0] ** 2
     return Trajectory(config=config, times=steps, states=states, sin2_angle=sin2)

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .oja import Trajectory
+from .oja import OjaConfig, Trajectory, _parse_preset
 from .sde import phase1_exit_law, stationary_sin2
 from .spectrum import EigenSpectrum
 
@@ -206,6 +206,17 @@ class CrossingReport:
         return "\n".join(lines)
 
 
+def _saddle_index(cfg: OjaConfig, k: Optional[int]) -> int:
+    """k when given, else the axis named by a 'saddle:k' / 'near_saddle:k:eps' init."""
+    if k is not None:
+        return k
+    if isinstance(cfg.init, str):
+        preset = _parse_preset(cfg.spec, cfg.init)
+        if preset[0] in ("saddle", "near_saddle"):
+            return preset[1]
+    raise ValueError("saddle index k is required when the init preset does not name one")
+
+
 def crossing_report(
     traj: Trajectory, thresholds: PhaseThresholds, k: Optional[int] = None
 ) -> CrossingReport:
@@ -215,11 +226,7 @@ def crossing_report(
     preset when not given explicitly.
     """
     cfg = traj.config
-    if k is None:
-        if isinstance(cfg.init, str) and cfg.init.split(":")[0] in ("saddle", "near_saddle"):
-            k = int(cfg.init.split(":")[1])
-        else:
-            raise ValueError("saddle index k is required when the init preset does not name one")
+    k = _saddle_index(cfg, k)
     empirical = detect_phases(traj, thresholds)
     predicted = predict_crossings(cfg.spec, cfg.beta, thresholds.delta, k)
     config = {

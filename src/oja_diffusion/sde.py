@@ -26,6 +26,13 @@ On the equator v_1 = 0 the overlap itself obeys the scalar SDE
 
 whose unstable growth out of U(0) = sqrt(beta) chi seeds the Phase I escape
 law exposed by :func:`phase1_exit_law`.
+
+Both SDEs have the form dU = b(t) U dt + c(t) dB and are simulated by one
+Euler-Maruyama loop over an (n_paths, m) array driven by one generator: the
+OU block with b = -a_i and c = sqrt(lambda_k lambda_i), the equator overlap
+with b = lambda_1 - L(V(t)) and c = (lambda_1 L(V(t)))^{1/2}.  A single path
+is an ensemble of one recorded at every step; an ensemble records only its
+distinct grid steps and reduces them to moments.
 """
 
 from __future__ import annotations
@@ -167,6 +174,60 @@ def _rng_from(seed) -> tuple[np.random.Generator, Optional[int]]:
     return chain_rng(seed), int(seed)
 
 
+def _euler_maruyama(u: np.ndarray, rec_steps: np.ndarray, dt: float, coeffs, rng) -> np.ndarray:
+    """Lockstep Euler-Maruyama paths u <- u + b(t) u dt + c(t) sqrt(dt) xi.
+
+    ``u`` holds the (n_paths, m) initial states and ``coeffs(t)`` gives the
+    drift and noise coefficients (b, c) at t = step * dt, each a scalar or a
+    length-m vector.  One generator supplies every xi, path-major within a
+    step.  Returns the states after each of the sorted, unique ``rec_steps``,
+    shape (n_rec, n_paths, m); the run stops at the last of them.
+    """
+    out = np.empty((len(rec_steps),) + u.shape)
+    root_dt = math.sqrt(dt)
+    pos = 0
+    for step in range(int(rec_steps[-1]) + 1):
+        if step:
+            b, c = coeffs((step - 1) * dt)
+            u = u + b * u * dt + c * root_dt * rng.standard_normal(u.shape)
+        if step == rec_steps[pos]:
+            out[pos] = u
+            pos += 1
+    return out
+
+
+def _single_path(u0: np.ndarray, t_end: float, dt: float, seed, coeffs) -> OuPath:
+    """One path from the (m,) state u0, recorded at every step up to t_end."""
+    if t_end < 0.0:
+        raise ValueError(f"t_end must be nonnegative, got {t_end}")
+    rng, seed_out = _rng_from(seed)
+    steps = np.arange(int(round(t_end / dt)) + 1)
+    states = _euler_maruyama(u0[None, :], steps, dt, coeffs, rng)[:, 0]
+    return OuPath(times=steps * dt, states=states, seed=seed_out)
+
+
+def _grid_states(u0: np.ndarray, t_grid, dt: float, n_paths: int, seed, coeffs):
+    """n_paths lockstep paths from u0 observed on ``t_grid`` snapped to the step grid.
+
+    Returns (snapped times, states at each distinct grid step, and the index
+    of each grid time into those states).
+    """
+    if n_paths < 2:
+        raise ValueError(f"need at least two paths, got {n_paths}")
+    rng, _ = _rng_from(seed)
+    grid_steps = np.round(np.asarray(t_grid, dtype=float) / dt).astype(int)
+    if grid_steps.size == 0 or np.any(grid_steps < 0):
+        raise ValueError("t_grid must be a nonempty list of nonnegative times")
+    rec_steps, sel = np.unique(grid_steps, return_inverse=True)
+    states = _euler_maruyama(np.tile(u0, (n_paths, 1)), rec_steps, dt, coeffs, rng)
+    return grid_steps * dt, states, sel
+
+
+def _ou_coeffs(ou: OuSpec, scale: float):
+    b, c = -ou.drift_rates, ou.noise_scales * scale
+    return lambda t: (b, c)
+
+
 def simulate_ou(
     ou: OuSpec, u0, t_end: float, dt: float, seed, diffusion_scale: float = 1.0
 ) -> OuPath:
@@ -177,22 +238,7 @@ def simulate_ou(
     exact exponential mean flow for step-level verification.
     """
     _check_dt(ou.spec, dt)
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end}")
-    rng, seed_out = _rng_from(seed)
-    u = _as_u0(ou, u0).copy()
-    n = int(round(t_end / dt))
-    times = np.arange(n + 1) * dt
-    states = np.empty((n + 1, u.shape[0]))
-    states[0] = u
-    a = ou.drift_rates
-    sig = ou.noise_scales * float(diffusion_scale)
-    root_dt = math.sqrt(dt)
-    for j in range(1, n + 1):
-        xi = rng.standard_normal(u.shape[0])
-        u = u - a * u * dt + sig * root_dt * xi
-        states[j] = u
-    return OuPath(times=times, states=states, seed=seed_out)
+    return _single_path(_as_u0(ou, u0), t_end, dt, seed, _ou_coeffs(ou, float(diffusion_scale)))
 
 
 def ou_ensemble_moments(ou: OuSpec, u0, t_grid, dt: float, n_paths: int, seed):
@@ -203,33 +249,11 @@ def ou_ensemble_moments(ou: OuSpec, u0, t_grid, dt: float, n_paths: int, seed):
     deterministic for a given seed but individual paths are not addressable.
     """
     _check_dt(ou.spec, dt)
-    if n_paths < 2:
-        raise ValueError(f"need at least two paths for a variance, got {n_paths}")
-    rng, _ = _rng_from(seed)
-    t_grid = np.asarray(t_grid, dtype=float)
-    grid_steps = np.round(t_grid / dt).astype(int)
-    if np.any(grid_steps < 0):
-        raise ValueError("t_grid times must be nonnegative")
-    m = ou.spec.d - 1
-    u = np.tile(_as_u0(ou, u0), (n_paths, 1))
-    a = ou.drift_rates
-    sig = ou.noise_scales
-    root_dt = math.sqrt(dt)
-    order = np.argsort(grid_steps)
-    means = np.empty((len(grid_steps), m))
-    varis = np.empty((len(grid_steps), m))
-    pos = 0
-    for step in range(int(grid_steps.max()) + 1):
-        while pos < len(order) and grid_steps[order[pos]] == step:
-            means[order[pos]] = u.mean(axis=0)
-            varis[order[pos]] = u.var(axis=0, ddof=1)
-            pos += 1
-        u = u - a * u * dt + sig * root_dt * rng.standard_normal((n_paths, m))
-    while pos < len(order):  # duplicates of the max step
-        means[order[pos]] = u.mean(axis=0)
-        varis[order[pos]] = u.var(axis=0, ddof=1)
-        pos += 1
-    return grid_steps * dt, means, varis
+    coeffs = _ou_coeffs(ou, 1.0)
+    times, states, sel = _grid_states(_as_u0(ou, u0), t_grid, dt, n_paths, seed, coeffs)
+    means = np.array([u.mean(axis=0) for u in states])
+    varis = np.array([u.var(axis=0, ddof=1) for u in states])
+    return times, means[sel], varis[sel]
 
 
 def stationary_sin2(spec: EigenSpectrum, beta: float) -> float:
@@ -325,11 +349,20 @@ def equator_drift_coeff(spec: EigenSpectrum, v: np.ndarray) -> float:
 PathLike = Union[np.ndarray, Callable[[float], np.ndarray]]
 
 
-def _path_callable(v_path: PathLike) -> Callable[[float], np.ndarray]:
+def _equator_coeffs(spec: EigenSpectrum, v_path: PathLike, scale: float):
+    """(lambda_1 - L(V(t)), scale sqrt(lambda_1 L(V(t)))) along the frozen path."""
     if callable(v_path):
-        return v_path
-    arr = np.asarray(v_path, dtype=float)
-    return lambda t: arr
+        path = v_path
+    else:
+        arr = np.asarray(v_path, dtype=float)
+        path = lambda t: arr
+    lam1 = float(spec.lambdas[0])
+
+    def coeffs(t):
+        ell = equator_drift_coeff(spec, path(t))
+        return lam1 - ell, scale * math.sqrt(lam1 * ell)
+
+    return coeffs
 
 
 def simulate_equator_sde(
@@ -348,25 +381,8 @@ def simulate_equator_sde(
     unstable OU with rate lambda_1 - lambda_k and noise sqrt(lambda_1 lambda_k).
     """
     _check_dt(spec, dt)
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end}")
-    rng, seed_out = _rng_from(seed)
-    path = _path_callable(v_path)
-    lam1 = float(spec.lambdas[0])
-    n = int(round(t_end / dt))
-    times = np.arange(n + 1) * dt
-    states = np.empty((n + 1, 1))
-    u = float(u0)
-    states[0, 0] = u
-    root_dt = math.sqrt(dt)
-    scale = float(diffusion_scale)
-    for j in range(1, n + 1):
-        ell = equator_drift_coeff(spec, path(times[j - 1]))
-        u = u + (lam1 - ell) * u * dt + scale * math.sqrt(lam1 * ell) * root_dt * float(
-            rng.standard_normal()
-        )
-        states[j, 0] = u
-    return OuPath(times=times, states=states, seed=seed_out)
+    coeffs = _equator_coeffs(spec, v_path, float(diffusion_scale))
+    return _single_path(np.array([float(u0)]), t_end, dt, seed, coeffs)
 
 
 def equator_ensemble_second_moment(
@@ -374,27 +390,6 @@ def equator_ensemble_second_moment(
 ):
     """E[U^2(t)] over n_paths lockstep paths of the equator SDE."""
     _check_dt(spec, dt)
-    if n_paths < 2:
-        raise ValueError(f"need at least two paths, got {n_paths}")
-    rng, _ = _rng_from(seed)
-    path = _path_callable(v_path)
-    lam1 = float(spec.lambdas[0])
-    t_grid = np.asarray(t_grid, dtype=float)
-    grid_steps = np.round(t_grid / dt).astype(int)
-    u = np.full(n_paths, float(u0))
-    root_dt = math.sqrt(dt)
-    out = np.empty(len(grid_steps))
-    order = np.argsort(grid_steps)
-    pos = 0
-    for step in range(int(grid_steps.max()) + 1):
-        while pos < len(order) and grid_steps[order[pos]] == step:
-            out[order[pos]] = float(np.mean(u * u))
-            pos += 1
-        ell = equator_drift_coeff(spec, path(step * dt))
-        u = u + (lam1 - ell) * u * dt + math.sqrt(lam1 * ell) * root_dt * rng.standard_normal(
-            n_paths
-        )
-    while pos < len(order):
-        out[order[pos]] = float(np.mean(u * u))
-        pos += 1
-    return grid_steps * dt, out
+    coeffs = _equator_coeffs(spec, v_path, 1.0)
+    times, states, sel = _grid_states(np.array([float(u0)]), t_grid, dt, n_paths, seed, coeffs)
+    return times, np.array([float(np.mean(u * u)) for u in states])[sel]

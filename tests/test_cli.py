@@ -291,3 +291,25 @@ def test_workers_do_not_change_mc_output(tmp_path):
     a = json.loads((out1 / "manifest.json").read_text())["outputs"]
     b = json.loads((out2 / "manifest.json").read_text())["outputs"]
     assert a == b
+
+
+@pytest.mark.parametrize("command, payload, target", [
+    ("run", RUN_CFG, "oja_diffusion.oja.Trajectory.to_csv"),
+    ("sde", {"spec": [2.0, 1.0], "t_end": 0.1, "dt": 1e-3, "n_paths": 1},
+     "oja_diffusion.sde.OuPath.to_csv"),
+    ("ode", {"spec": [2.0, 1.0], "v0": "warm:0.5", "t_grid": [0.0, 1.0]},
+     "oja_diffusion.cli.export_curve"),
+])
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, capsys, command, payload, target):
+    def broken(*args, **kwargs):
+        path = next(a for a in args if isinstance(a, str))
+        with open(path, "w") as fh:
+            fh.write("partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(target, broken)
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["manifest.json"]
