@@ -106,21 +106,22 @@ def _t_grid(cfg: dict, key: str = "t_grid", default=_REQUIRED):
 
 
 def _atomic_write(path: str, write) -> None:
-    """Produce ``path`` by ``write(tmp)`` on a sibling temp file, then rename it.
+    """Produce ``path`` by ``write(tmp)`` in a private sibling directory, then rename it.
 
-    The temp file is removed when ``write`` or the rename fails, so a failed
-    write leaves neither a partial ``path`` nor a stray temp file.
+    ``write`` creates the file itself, so it gets the mode a plain ``open``
+    gives (0o666 less the umask).  The temp directory is always removed, with
+    the temp file in it when ``write`` or the rename fails, so a failed write
+    leaves neither a partial ``path`` nor a stray temp file.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
-    os.close(fd)
+    tmp_dir = tempfile.mkdtemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
+    tmp = os.path.join(tmp_dir, os.path.basename(path))
     try:
         write(tmp)
         os.replace(tmp, path)
-    except BaseException:
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+        os.rmdir(tmp_dir)
 
 
 def _write_text(path: str, text: str) -> None:

@@ -38,6 +38,7 @@ from .oja import (
     Trajectory,
     _parse_preset,
     _run_lockstep,
+    _sin2,
     record_steps as _record_steps,
     resolve_init,
 )
@@ -91,6 +92,17 @@ def grid_to_steps(t_grid, beta: float, n_steps: int) -> np.ndarray:
     return steps
 
 
+def _check_n_chains(n_chains) -> int:
+    """The chain count as an int; ValueError unless it is a positive integer."""
+    try:
+        valid = int(n_chains) == n_chains and n_chains >= 1
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValueError(f"n_chains must be a positive integer, got {n_chains!r}")
+    return int(n_chains)
+
+
 @dataclass(frozen=True, eq=False)
 class EnsembleConfig:
     """A chain config fanned out to n_chains, observed on a diffusion-time grid.
@@ -105,8 +117,7 @@ class EnsembleConfig:
     t_grid: tuple
 
     def __post_init__(self):
-        if int(self.n_chains) != self.n_chains or self.n_chains < 1:
-            raise ValueError(f"n_chains must be a positive integer, got {self.n_chains}")
+        _check_n_chains(self.n_chains)
         grid = tuple(float(t) for t in self.t_grid)
         if len(grid) == 0:
             raise ValueError("t_grid must not be empty")
@@ -128,6 +139,7 @@ def run_ensemble_states(
     worker count only chunks the chain axis; outputs are concatenated in
     chain order, so it never affects values.
     """
+    n_chains = _check_n_chains(n_chains)
     rec_steps = np.asarray(rec_steps, dtype=int)
     if rec_steps.size == 0 or np.any(np.diff(rec_steps) <= 0):
         raise ValueError("record steps must be nonempty and strictly increasing")
@@ -188,7 +200,7 @@ def ensemble_summary(cfg: EnsembleConfig, workers: int = 1) -> EnsembleSummary:
     states = states[sel]  # (n_t, n_chains, d), duplicates allowed
     n = cfg.n_chains
     v1sq = states[:, :, 0] ** 2
-    sin2 = 1.0 - v1sq
+    sin2 = _sin2(states)
     ddof = 1 if n > 1 else 0
     se = lambda x: x.std(axis=1, ddof=ddof) / np.sqrt(n)
     return EnsembleSummary(
@@ -405,7 +417,7 @@ def finite_sample_experiment(
             seed=derive_seed(seed, j), sampler=sampler,
         )
         states = run_ensemble_states(base, n_chains, np.array([t]), workers=workers)
-        sin2 = 1.0 - states[0][:, 0] ** 2
+        sin2 = _sin2(states[0])
         mean = float(sin2.mean())
         se = float(sin2.std(ddof=1) / np.sqrt(n_chains))
         bound = rate_bound_sin2(spec, t)
@@ -453,7 +465,7 @@ def phase_portrait_experiment(
     thresholds = PhaseThresholds(delta=delta)
     rec_steps = _record_steps(base.n_steps, base.resolved_stride())
     states = run_ensemble_states(base, cfg.n_chains, rec_steps, workers=workers)
-    sin2 = 1.0 - states[:, :, 0] ** 2  # (n_rec, n_chains)
+    sin2 = _sin2(states)  # (n_rec, n_chains)
 
     reports = []
     for c in range(cfg.n_chains):

@@ -6,8 +6,9 @@ One step with stepsize beta and sample Y is
 
 i.e. a rank-one stochastic power update followed by projection back to the
 unit sphere.  Because the samples live in the eigenbasis, the quality of the
-iterate is read off the first coordinate: sin^2 of the angle to the top
-eigendirection is 1 - v_1^2.
+iterate is read off the coordinates: sin^2 of the angle to the top
+eigendirection is the tail mass sum_{i>=2} v_i^2, which equals 1 - v_1^2 but
+keeps its precision where that difference cancels to 0.
 
 ``increment_parts`` splits a single update into the main chain term
 
@@ -18,12 +19,18 @@ and the remainder of the projection, which is O(B^2 beta^2) whenever
 over a fresh stream to expose the drift beta v_k (lambda_k - v' Lambda v) that
 the deterministic limit integrates.
 
-Every trajectory comes from one lockstep kernel that steps an (n_chains, d)
-array of states through the same update expression as ``oja_step``.
-``run_chain`` runs it on chain 0 alone and the Monte Carlo ensembles run it
-on chunks of chains, so a single chain is bit for bit chain 0 of an ensemble.
-After each sample block the kernel checks the states recorded in it (finite,
-unit norm within 1e-11) and raises ``FloatingPointError`` when one is not.
+Every trajectory comes from one lockstep kernel over an (n_chains, d) array
+of states.  ``run_chain`` runs it on chain 0 alone and the Monte Carlo
+ensembles run it on chunks of chains, so a single chain is bit for bit chain
+0 of an ensemble.  It draws nothing past the last recorded step.  For the
+Gaussian stream it steps the states through the same update expression as
+``oja_step``.  For the bounded stream it uses the closed form: each draw
++/- sqrt(tr) e_i only scales coordinate i by 1 + beta tr, so the updates
+commute and the state after n steps is v_0 * (1 + beta tr)^c(n), normalised,
+where c(n) counts the draws of each axis (the discrete form of the logistic
+flow).  It agrees with the step loop to about 1e-14 per coordinate.  After
+each sample block the kernel checks the states recorded in it (finite, unit
+norm within 1e-11) and raises ``FloatingPointError`` when one is not.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .spectrum import EigenSpectrum, chain_rng, get_sampler, _check_seed
+from .spectrum import EigenSpectrum, chain_rng, get_sampler, _axis_draws, _check_seed
 
 __all__ = [
     "OjaConfig",
@@ -267,7 +274,7 @@ class Trajectory:
     config: OjaConfig
     times: np.ndarray  # integer step counts, shape (n_records,)
     states: np.ndarray  # shape (n_records, d)
-    sin2_angle: np.ndarray  # 1 - states[:, 0]**2
+    sin2_angle: np.ndarray  # tail mass sum_{i>=2} states[:, i]**2, i.e. 1 - v_1^2
 
     def to_csv(self, path, include_states: bool = True) -> None:
         d = self.states.shape[1]
@@ -307,47 +314,115 @@ def record_steps(n_steps: int, stride: int) -> np.ndarray:
     return steps
 
 
+def _step_loop(base: OjaConfig, rngs: list, v: np.ndarray):
+    """Advance by the projected update, one step at a time (any stream)."""
+    spec, beta = base.spec, base.beta
+    draw = get_sampler(base.sampler)
+    ys = np.empty((SAMPLE_BLOCK, len(rngs), spec.d))
+
+    def advance(blk: int, offsets: np.ndarray, dest: np.ndarray) -> None:
+        nonlocal v
+        for i, rng in enumerate(rngs):
+            ys[:blk, i] = draw(spec, rng, blk)
+        j = 0
+        for step, y in enumerate(ys[:blk], 1):
+            v = _project(v, y, beta)
+            if j < len(offsets) and offsets[j] == step:
+                dest[j] = v
+                j += 1
+
+    return advance
+
+
+def _axis_counts(base: OjaConfig, rngs: list, v0: np.ndarray):
+    """Advance the bounded stream in closed form, by per-axis draw counts.
+
+    A draw +/- sqrt(tr) e_i scales coordinate i by 1 + beta tr and leaves the
+    rest alone, so the updates commute: after n steps the state is
+    v0 * (1 + beta tr)^c(n), normalised, where c(n) counts the draws of each
+    axis.  It is formed in log space, shifted by its row maximum, so it never
+    overflows, and coordinates that start at 0 stay exactly 0.  The sign draw
+    of each sample is consumed and discarded, as the update ignores it.
+    """
+    spec = base.spec
+    with np.errstate(divide="ignore"):
+        log_v0 = np.log(np.abs(v0))
+    sign = np.sign(v0)
+    log_gain = np.log1p(base.beta * spec.trace)
+    # Per block: the axes, their one-hot and its int16 counts take 1 + 3d
+    # bytes a draw, against 8d for the float samples the step loop needs.
+    axes = np.arange(spec.d)
+    idx = np.empty((SAMPLE_BLOCK, len(rngs)), dtype=np.min_scalar_type(spec.d - 1))
+    counts = np.zeros(v0.shape, dtype=np.int64)
+
+    def advance(blk: int, offsets: np.ndarray, dest: np.ndarray) -> None:
+        nonlocal counts
+        for i, rng in enumerate(rngs):
+            idx[:blk, i] = _axis_draws(spec, rng, blk)[0]
+        # Draws per axis between consecutive records, then up to each record
+        # and to the block end.  A block holds at most SAMPLE_BLOCK draws, so
+        # int16 counts are exact.
+        starts = np.concatenate(([0], offsets[offsets < blk]))
+        hits = np.add.reduceat(idx[:blk, :, None] == axes, starts, axis=0, dtype=np.int16)
+        np.cumsum(hits, axis=0, out=hits)
+        dest[...] = hits[: len(offsets)]
+        dest += counts
+        # Shift the (exact, integer) counts so the row's largest is 0 before
+        # scaling: the exponents of comparable coordinates stay small, and so
+        # does their rounding error, however long the chain.
+        dest -= dest.max(axis=-1, keepdims=True)
+        dest *= log_gain
+        dest += log_v0
+        dest -= dest.max(axis=-1, keepdims=True)
+        np.exp(dest, out=dest)
+        dest *= sign
+        dest /= np.sqrt(np.einsum("...d,...d->...", dest, dest))[..., None]
+        counts += hits[-1]
+
+    return advance
+
+
 def _run_lockstep(base: OjaConfig, chains: range, rec_steps: np.ndarray) -> np.ndarray:
     """Run chains ``chains`` of ``base`` in lockstep: states (n_rec, n_chains, d).
 
     Chain i draws its init (when random) and then its samples from
     ``chain_rng(base.seed, i)`` in blocks of :data:`SAMPLE_BLOCK`, so a chain's
     values never depend on which other chains share the run.  ``rec_steps``
-    must be strictly increasing within [0, n_steps].  After each block the
-    states recorded in it must be finite unit vectors within 1e-11, else
-    ``FloatingPointError`` (a runtime fault, not a config error).
+    must be strictly increasing within [0, n_steps]; nothing is drawn past the
+    last of them.  The bounded stream advances in closed form, any other by
+    the step loop.  After each block the states recorded in it must be finite
+    unit vectors within 1e-11, else ``FloatingPointError`` (a runtime fault,
+    not a config error).
     """
-    spec = base.spec
-    beta = base.beta
-    n = int(base.n_steps)
-    draw = get_sampler(base.sampler)
     rngs = [chain_rng(base.seed, i) for i in chains]
-    v = np.array([resolve_init(spec, base.init, rng) for rng in rngs])
-    out = np.empty((len(rec_steps), len(rngs), spec.d))
-    ys = np.empty((SAMPLE_BLOCK, len(rngs), spec.d))
-    pos = 0
-    if rec_steps[0] == 0:
-        out[0] = v
-        pos = 1
-    step = 0
-    while step < n:
-        blk = min(SAMPLE_BLOCK, n - step)
-        for i, rng in enumerate(rngs):
-            ys[:blk, i] = draw(spec, rng, blk)
+    v = np.array([resolve_init(base.spec, base.init, rng) for rng in rngs])
+    out = np.empty((len(rec_steps), len(rngs), base.spec.d))
+    advance = (_axis_counts if base.sampler == "bounded" else _step_loop)(base, rngs, v)
+    pos = int(rec_steps[0] == 0)
+    out[:pos] = v
+    last = int(rec_steps[-1])
+    for start in range(0, last, SAMPLE_BLOCK):
+        blk = min(SAMPLE_BLOCK, last - start)
         first = pos
-        for y in ys[:blk]:
-            v = _project(v, y, beta)
-            step += 1
-            if pos < len(rec_steps) and rec_steps[pos] == step:
-                out[pos] = v
-                pos += 1
+        pos = int(np.searchsorted(rec_steps, start + blk, side="right"))
+        advance(blk, rec_steps[first:pos] - start, out[first:pos])
         if _off_sphere(out[first:pos], 1e-11):
             raise FloatingPointError(
-                f"chain states left the unit sphere by step {step} (non-finite, or "
-                f"squared norm off 1 by more than 1e-11); beta={beta} is likely too "
+                f"chain states left the unit sphere by step {start + blk} (non-finite, or "
+                f"squared norm off 1 by more than 1e-11); beta={base.beta} is likely too "
                 f"large for the '{base.sampler}' stream"
             )
     return out
+
+
+def _sin2(states: np.ndarray) -> np.ndarray:
+    """sin^2 to e_1 of unit states on the last axis, as the tail mass sum_{i>=2} v_i^2.
+
+    It equals 1 - v_1^2, which cancels: that form reads 0 once the tail mass
+    drops below the spacing of floats near 1.
+    """
+    tail = states[..., 1:]
+    return np.einsum("...d,...d->...", tail, tail)
 
 
 def run_chain(config: OjaConfig) -> Trajectory:
@@ -359,5 +434,4 @@ def run_chain(config: OjaConfig) -> Trajectory:
     """
     steps = record_steps(config.n_steps, config.resolved_stride())
     states = _run_lockstep(config, range(1), steps)[:, 0]
-    sin2 = 1.0 - states[:, 0] ** 2
-    return Trajectory(config=config, times=steps, states=states, sin2_angle=sin2)
+    return Trajectory(config=config, times=steps, states=states, sin2_angle=_sin2(states))

@@ -131,12 +131,17 @@ def sample_bounded(
     equals the first row of a block draw from the same generator state.
     """
     n = _normalize_size(size)
-    p = np.asarray(spec.lambdas) / spec.trace
-    idx = rng.choice(spec.d, size=n, p=p)
-    signs = rng.integers(0, 2, size=n) * 2 - 1
+    idx, signs = _axis_draws(spec, rng, n)
     y = np.zeros((n, spec.d))
     y[np.arange(n), idx] = signs * np.sqrt(spec.trace)
     return y[0] if size is None else y
+
+
+def _axis_draws(spec: EigenSpectrum, rng: np.random.Generator, n: int):
+    """Axes and signs of n bounded-stream draws: the axis draw, then the sign draw."""
+    idx = rng.choice(spec.d, size=n, p=np.asarray(spec.lambdas) / spec.trace)
+    signs = rng.integers(0, 2, size=n) * 2 - 1
+    return idx, signs
 
 
 def sample_gaussian(

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,21 @@ def test_run_rerun_is_byte_identical(tmp_path):
     main(["run", "--config", cfg, "--out", str(out1)])
     main(["run", "--config", cfg, "--out", str(out2)])
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_run_outputs_get_the_mode_open_gives(tmp_path, umask):
+    cfg = write_cfg(tmp_path, RUN_CFG)
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    expected = 0o666 & ~umask
+    assert modes == {"manifest.json": expected, "summary.json": expected,
+                     "trajectory.csv": expected}
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -69,6 +69,13 @@ def test_ensemble_chain_zero_equals_run_chain():
     np.testing.assert_array_equal(states[:, 0, :], traj.states)
 
 
+@pytest.mark.parametrize("n_chains", [0, -3, 2.5, "4", float("inf")])
+def test_ensemble_states_rejects_bad_chain_counts(n_chains):
+    base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=100, seed=1)
+    with pytest.raises(ValueError, match="n_chains must be a positive integer"):
+        run_ensemble_states(base, n_chains, np.array([0, 50]))
+
+
 def test_ensemble_rejects_unsorted_record_steps():
     base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=1000, seed=1)
     with pytest.raises(ValueError):

@@ -239,6 +239,18 @@ def test_run_chain_records_and_sin2():
     np.testing.assert_allclose(traj.sin2_angle, 1.0 - traj.states[:, 0] ** 2, atol=1e-15)
 
 
+def test_sin2_keeps_the_tail_mass_after_1_minus_v1sq_underflows():
+    # Past ~20k bounded steps the tail mass drops below the spacing of floats
+    # near 1, so 1 - v_1^2 would read exactly 0; sin^2 must track the tail.
+    cfg = OjaConfig(spec=make_spectrum([2.0, 1.0, 0.5]), beta=1e-3, n_steps=60_000,
+                    init="uniform", seed=3, sampler="bounded")
+    traj = run_chain(cfg)
+    tail = np.sum(traj.states[:, 1:] ** 2, axis=1)
+    assert tail[-1] < 1e-40
+    assert np.all(traj.sin2_angle > 0.0)
+    np.testing.assert_allclose(traj.sin2_angle, tail, rtol=1e-12, atol=0.0)
+
+
 def test_run_chain_deterministic_in_seed():
     cfg = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=200, seed=5, record_stride=50)
     a = run_chain(cfg)
