@@ -11,103 +11,17 @@ formulas, and Monte Carlo experiments that check each limit against
 simulated ensembles.
 """
 
-from .spectrum import (
-    EigenSpectrum,
-    make_spectrum,
-    sample_bounded,
-    sample_gaussian,
-    random_rotation,
-    chain_rng,
-    derive_seed,
-)
-from .oja import (
-    OjaConfig,
-    Trajectory,
-    IncrementParts,
-    oja_step,
-    sin2_angle,
-    increment_parts,
-    empirical_drift,
-    resolve_init,
-    run_chain,
-)
-from .ode import (
-    ode_rhs,
-    logistic_solution,
-    integrate_rk4,
-    ode_crossing_time,
-    export_curve,
-)
-from .sde import (
-    OuSpec,
-    OuPath,
-    ou_mean_cov,
-    ou_stationary_var,
-    simulate_ou,
-    ou_ensemble_moments,
-    stationary_sin2,
-    Phase1ExitLaw,
-    phase1_exit_law,
-    equator_drift_coeff,
-    simulate_equator_sde,
-    equator_ensemble_second_moment,
-)
-from .phases import (
-    PhaseThresholds,
-    CrossingPrediction,
-    EmpiricalCrossings,
-    CrossingReport,
-    predict_crossings,
-    detect_phases,
-    crossing_report,
-    stepsize_rule,
-    rate_bound_sin2,
-    rate_bound_rayleigh,
-    minimax_lower_bound,
-    table1_rows,
-    cutoff_ratios,
-    RateReport,
-    rate_report,
-)
-from .montecarlo import (
-    EnsembleConfig,
-    EnsembleSummary,
-    ExperimentResult,
-    run_ensemble_states,
-    ensemble_summary,
-    ode_convergence_experiment,
-    sde_covariance_experiment,
-    finite_sample_experiment,
-    phase_portrait_experiment,
-)
+from . import montecarlo, ode, oja, phases, sde, spectrum
+from .spectrum import *
+from .oja import *
+from .ode import *
+from .sde import *
+from .phases import *
+from .montecarlo import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # spectrum
-    "EigenSpectrum", "make_spectrum", "sample_bounded", "sample_gaussian",
-    "random_rotation", "chain_rng", "derive_seed",
-    # oja
-    "OjaConfig", "Trajectory", "IncrementParts", "oja_step", "sin2_angle",
-    "increment_parts", "empirical_drift", "resolve_init", "run_chain",
-    # ode
-    "ode_rhs", "logistic_solution", "integrate_rk4", "ode_crossing_time",
-    "export_curve",
-    # sde
-    "OuSpec", "OuPath", "ou_mean_cov", "ou_stationary_var", "simulate_ou",
-    "ou_ensemble_moments", "stationary_sin2", "Phase1ExitLaw",
-    "phase1_exit_law", "equator_drift_coeff", "simulate_equator_sde",
-    "equator_ensemble_second_moment",
-    # phases
-    "PhaseThresholds", "CrossingPrediction", "EmpiricalCrossings",
-    "CrossingReport", "predict_crossings", "detect_phases", "crossing_report",
-    "stepsize_rule", "rate_bound_sin2", "rate_bound_rayleigh",
-    "minimax_lower_bound", "table1_rows", "cutoff_ratios", "RateReport",
-    "rate_report",
-    # montecarlo
-    "EnsembleConfig", "EnsembleSummary", "ExperimentResult",
-    "run_ensemble_states", "ensemble_summary", "ode_convergence_experiment",
-    "sde_covariance_experiment", "finite_sample_experiment",
-    "phase_portrait_experiment",
+# Each module's __all__ is its public API; the package re-exports all of them.
+__all__ = ["__version__"] + [
+    name for module in (spectrum, oja, ode, sde, phases, montecarlo) for name in module.__all__
 ]

@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .oja import OjaConfig, run_chain, trajectory_from_csv
+from .oja import OjaConfig, _config_echo, run_chain, trajectory_from_csv
 from .ode import export_curve, ode_crossing_time
 from .phases import (
     CrossingReport,
@@ -37,12 +37,13 @@ from .phases import (
 from .montecarlo import (
     EnsembleConfig,
     Table,
+    _check_t_list,
     finite_sample_experiment,
     ode_convergence_experiment,
     phase_portrait_experiment,
     sde_covariance_experiment,
 )
-from .sde import OuSpec, _check_dt, ou_mean_cov, ou_ensemble_moments, simulate_ou
+from .sde import OuSpec, _as_u0, _check_dt, ou_mean_cov, ou_ensemble_moments, simulate_ou
 from .spectrum import make_spectrum
 
 ENV_OUT = "OJA_DIFFUSION_OUT"
@@ -91,17 +92,22 @@ def _t_grid(cfg: dict, key: str = "t_grid", default=_REQUIRED):
     val = _field(cfg, key, default)
     if isinstance(val, dict):
         try:
-            return np.linspace(float(val["start"]), float(val["stop"]), int(val["num"]))
-        except (KeyError, TypeError, ValueError):
+            grid = np.linspace(float(val["start"]), float(val["stop"]), int(val["num"]))
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ConfigError(
                 f"config field '{key}': a grid object needs numeric 'start', 'stop' and integer 'num'"
             ) from None
-    try:
-        grid = np.asarray([float(t) for t in val], dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config field '{key}': expected a list of times or a start/stop/num object") from None
+    else:
+        try:
+            grid = np.asarray([float(t) for t in val], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"config field '{key}': expected a list of times or a start/stop/num object"
+            ) from None
     if grid.size == 0:
         raise ConfigError(f"config field '{key}': grid must not be empty")
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(f"config field '{key}': times must be finite, got {grid.tolist()}")
     return grid
 
 
@@ -260,12 +266,18 @@ def cmd_sde(cfg: dict, runner: _Runner, args) -> None:
     except ValueError as e:
         raise ConfigError(f"config field 'k': {e}") from None
     t_end = _number(cfg, "t_end")
+    if not (0.0 <= t_end < np.inf):
+        raise ConfigError(f"config field 't_end': must be finite and nonnegative, got {t_end}")
     dt = _number(cfg, "dt")
     try:
         _check_dt(spec, dt)
     except ValueError as e:
         raise ConfigError(f"config field 'dt': {e}") from None
     u0 = _field(cfg, "u0", 0.0)
+    try:
+        u0 = _as_u0(ou, u0)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"config field 'u0': {e}") from None
     n_paths = _integer(cfg, "n_paths", 1000)
     grid = _t_grid(cfg, default=np.linspace(0.0, t_end, 11))
     seed = runner.manifest["master_seed"]
@@ -317,8 +329,7 @@ def cmd_phases(cfg: dict, runner: _Runner, args) -> None:
         report = CrossingReport(
             empirical=EmpiricalCrossings(n1=None, n2=None, n3=None),
             predicted=predicted,
-            config={"spec": [float(x) for x in spec.lambdas], "beta": beta,
-                    "delta": delta, "k": k},
+            config=_config_echo(spec=spec, beta=beta, delta=delta, k=k),
         )
     _write_text(runner.path("crossing_report.json"), report.to_json() + "\n")
     _write_text(runner.path("crossing_report.txt"), report.to_text() + "\n")
@@ -340,6 +351,10 @@ def cmd_mc(cfg: dict, runner: _Runner, args) -> None:
 
     if experiment == "finite_sample":
         t_list = _field(cfg, "t_list")
+        try:
+            t_list = _check_t_list(t_list)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConfigError(f"config field 't_list': {e}") from None
         sampler = _field(cfg, "sampler", "gaussian")
         runner.begin()
         try:

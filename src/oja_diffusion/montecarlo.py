@@ -36,6 +36,7 @@ from .ode import logistic_solution
 from .oja import (
     OjaConfig,
     Trajectory,
+    _config_echo,
     _parse_preset,
     _run_lockstep,
     _sin2,
@@ -101,6 +102,16 @@ def _check_n_chains(n_chains) -> int:
     if not valid:
         raise ValueError(f"n_chains must be a positive integer, got {n_chains!r}")
     return int(n_chains)
+
+
+def _check_t_list(t_list) -> list:
+    """The horizons as ints; ValueError unless there is one and each is at least 100 samples."""
+    t_list = [int(t) for t in t_list]
+    if not t_list or any(t < 100 for t in t_list):
+        raise ValueError(
+            f"horizons must be a nonempty list of at least 100 samples each, got {t_list}"
+        )
+    return t_list
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,24 +261,6 @@ class ExperimentResult:
         return paths
 
 
-def _config_echo(base: OjaConfig, n_chains: int, t_grid=None, **extra) -> dict:
-    echo = {
-        "spec": [float(x) for x in base.spec.lambdas],
-        "beta": base.beta,
-        "n_steps": int(base.n_steps),
-        "init": base.init if isinstance(base.init, str) else [float(x) for x in np.asarray(base.init)],
-        "seed": int(base.seed),
-        "sampler": base.sampler,
-        "n_chains": int(n_chains),
-    }
-    if base.sampler == "gaussian":
-        echo["sampler_note"] = GAUSSIAN_SAMPLER_NOTE
-    if t_grid is not None:
-        echo["t_grid"] = [float(t) for t in t_grid]
-    echo.update(extra)
-    return echo
-
-
 def _deterministic_init_vector(base: OjaConfig) -> np.ndarray:
     """Resolve the init when it does not depend on the chain stream."""
     if isinstance(base.init, str):
@@ -314,7 +307,7 @@ def ode_convergence_experiment(cfg: EnsembleConfig, workers: int = 1) -> Experim
         name="ode_convergence",
         tables={"table": table},
         summary=summary,
-        config_echo=_config_echo(cfg.base, cfg.n_chains, cfg.t_grid),
+        config_echo=_config_echo(cfg.base, n_chains=int(cfg.n_chains), t_grid=list(cfg.t_grid)),
     )
 
 
@@ -380,7 +373,8 @@ def sde_covariance_experiment(cfg: EnsembleConfig, k: int, workers: int = 1) -> 
         name="sde_covariance",
         tables={"table": table},
         summary=summary,
-        config_echo=_config_echo(base, cfg.n_chains, cfg.t_grid, k=int(k)),
+        config_echo=_config_echo(base, n_chains=int(cfg.n_chains), t_grid=list(cfg.t_grid),
+                                 k=int(k)),
     )
 
 
@@ -405,9 +399,7 @@ def finite_sample_experiment(
     geometrically instead of levelling off, so ratios to the formula are not
     meaningful for it.
     """
-    t_list = [int(t) for t in t_list]
-    if any(t < 100 for t in t_list):
-        raise ValueError(f"horizons must be at least 100 samples, got {t_list}")
+    t_list = _check_t_list(t_list)
     rows = []
     ratios = []
     for j, t in enumerate(t_list):
@@ -436,15 +428,8 @@ def finite_sample_experiment(
         "n_chains": int(n_chains),
         "sampler": sampler,
     }
-    echo = {
-        "spec": [float(x) for x in spec.lambdas],
-        "t_list": t_list,
-        "n_chains": int(n_chains),
-        "seed": int(seed),
-        "sampler": sampler,
-    }
-    if sampler == "gaussian":
-        echo["sampler_note"] = GAUSSIAN_SAMPLER_NOTE
+    echo = _config_echo(spec=spec, t_list=t_list, n_chains=int(n_chains), seed=seed,
+                        sampler=sampler)
     return ExperimentResult(
         name="finite_sample", tables={"table": table}, summary=summary, config_echo=echo
     )
@@ -525,5 +510,5 @@ def phase_portrait_experiment(
         name="phase_portrait",
         tables=tables,
         summary=summary,
-        config_echo=_config_echo(base, cfg.n_chains, delta=float(delta), k=int(k)),
+        config_echo=_config_echo(base, n_chains=int(cfg.n_chains), delta=float(delta), k=int(k)),
     )

@@ -41,7 +41,9 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .spectrum import EigenSpectrum, chain_rng, get_sampler, _axis_draws, _check_seed
+from .spectrum import (
+    EigenSpectrum, GAUSSIAN_SAMPLER_NOTE, chain_rng, get_sampler, _axis_draws, _check_seed,
+)
 
 __all__ = [
     "OjaConfig",
@@ -90,9 +92,15 @@ def oja_step(v: np.ndarray, y: np.ndarray, beta) -> np.ndarray:
 
 
 def sin2_angle(v: np.ndarray, w: np.ndarray) -> float:
-    """sin^2 of the angle between two unit vectors: 1 - (v.w)^2."""
-    c = float(np.dot(v, w))
-    return 1.0 - c * c
+    """sin^2 of the angle between two unit vectors, as ||v - (v.w) w||^2.
+
+    It equals 1 - (v.w)^2, which cancels: that form reads 0 once sin^2 drops
+    below the spacing of floats near 1.
+    """
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    r = v - np.dot(v, w) * w
+    return float(np.dot(r, r))
 
 
 class IncrementParts(NamedTuple):
@@ -187,6 +195,26 @@ class OjaConfig:
         if self.record_stride is not None:
             return int(self.record_stride)
         return max(1, int(self.n_steps) // _TARGET_RECORDS)
+
+
+def _config_echo(chain: Optional[OjaConfig] = None, **fields) -> dict:
+    """The JSON-ready config echo that every report and experiment carries.
+
+    ``chain`` contributes its spec, beta, n_steps, init, seed and sampler;
+    ``fields`` add the rest and must include ``spec`` when there is no chain.
+    A Gaussian sampler gets :data:`GAUSSIAN_SAMPLER_NOTE`.
+    """
+    if chain is not None:
+        fields = dict(spec=chain.spec, beta=chain.beta, n_steps=int(chain.n_steps),
+                      init=chain.init, seed=chain.seed, sampler=chain.sampler, **fields)
+    echo = dict(fields, spec=[float(x) for x in fields["spec"].lambdas])
+    if not isinstance(fields.get("init", ""), str):
+        echo["init"] = [float(x) for x in np.asarray(fields["init"])]
+    if "seed" in fields:
+        echo["seed"] = int(fields["seed"])
+    if fields.get("sampler") == "gaussian":
+        echo["sampler_note"] = GAUSSIAN_SAMPLER_NOTE
+    return echo
 
 
 def _parse_preset(spec: EigenSpectrum, text: str):

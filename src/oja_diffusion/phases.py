@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .oja import OjaConfig, Trajectory, _parse_preset
+from .oja import OjaConfig, Trajectory, _config_echo, _parse_preset
 from .sde import phase1_exit_law, stationary_sin2
 from .spectrum import EigenSpectrum
 
@@ -229,16 +229,7 @@ def crossing_report(
     k = _saddle_index(cfg, k)
     empirical = detect_phases(traj, thresholds)
     predicted = predict_crossings(cfg.spec, cfg.beta, thresholds.delta, k)
-    config = {
-        "spec": [float(x) for x in cfg.spec.lambdas],
-        "beta": cfg.beta,
-        "n_steps": int(cfg.n_steps),
-        "init": cfg.init if isinstance(cfg.init, str) else [float(x) for x in np.asarray(cfg.init)],
-        "seed": int(cfg.seed),
-        "sampler": cfg.sampler,
-        "delta": thresholds.delta,
-        "k": int(k),
-    }
+    config = _config_echo(cfg, delta=thresholds.delta, k=int(k))
     return CrossingReport(empirical=empirical, predicted=predicted, config=config)
 
 

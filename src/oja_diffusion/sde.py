@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import csv
 import math
+import statistics
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.stats import norm as _norm
 
 from .spectrum import EigenSpectrum, chain_rng, _check_seed
 
@@ -106,6 +106,8 @@ def _as_u0(ou: OuSpec, u0) -> np.ndarray:
         arr = np.full(ou.spec.d - 1, float(arr))
     if arr.shape != (ou.spec.d - 1,):
         raise ValueError(f"u0 must be scalar or shape ({ou.spec.d - 1},), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"u0 must be finite, got {arr.tolist()}")
     return arr
 
 
@@ -308,7 +310,7 @@ class Phase1ExitLaw:
             raise ValueError(f"quantile level must lie in (0, 1), got {q}")
         # P(N <= x) = P(|chi| >= chi(x)); the q-quantile of N uses the
         # (1-q)-quantile of |chi|, which is Phi^{-1}(1 - q/2) for the half-normal.
-        chi_q = _norm.ppf(1.0 - q / 2.0)
+        chi_q = statistics.NormalDist().inv_cdf(1.0 - q / 2.0)
         return float(self.steps_given_chi(chi_q))
 
     @property

@@ -27,6 +27,7 @@ run reproducible and independent of worker scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -80,6 +81,14 @@ class EigenSpectrum:
     def tail(self) -> np.ndarray:
         """Eigenvalues below the top one, i.e. (lambda_2, ..., lambda_d)."""
         return self.lambdas[1:]
+
+    @cached_property
+    def _axis_cdf(self) -> np.ndarray:
+        """Axis cdf of the bounded sampler, built as ``Generator.choice`` builds it."""
+        cdf = np.cumsum(np.asarray(self.lambdas) / self.trace)
+        cdf /= cdf[-1]
+        cdf.setflags(write=False)
+        return cdf
 
 
 def make_spectrum(lambdas: ArrayLike) -> EigenSpectrum:
@@ -138,8 +147,12 @@ def sample_bounded(
 
 
 def _axis_draws(spec: EigenSpectrum, rng: np.random.Generator, n: int):
-    """Axes and signs of n bounded-stream draws: the axis draw, then the sign draw."""
-    idx = rng.choice(spec.d, size=n, p=np.asarray(spec.lambdas) / spec.trace)
+    """Axes and signs of n bounded-stream draws: the axis draw, then the sign draw.
+
+    The axis draw is ``rng.choice(d, size=n, p=lambda/tr)`` without its
+    per-call validation: the same cdf searched with the same uniforms.
+    """
+    idx = spec._axis_cdf.searchsorted(rng.random(n), side="right")
     signs = rng.integers(0, 2, size=n) * 2 - 1
     return idx, signs
 

@@ -62,6 +62,22 @@ def test_console_script_version():
         assert out.stdout == f"oja-diffusion {__version__}\n"
 
 
+def test_cli_import_loads_no_scipy():
+    """numpy is the only runtime dependency: a fresh CLI import loads no scipy module."""
+    env = dict(os.environ)
+    src = str(Path(oja_diffusion.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, oja_diffusion.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 def test_missing_config_is_exit_2(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -199,6 +215,25 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"spec": [2.0, 1.0], "t_end": 1.0, "dt": 0.5})
     assert main(["sde", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("ode", {"spec": [2.0, 1.0], "v0": "warm:0.5", "t_grid": [0.0, math.nan]}, "t_grid"),
+    ("ode", {"spec": [2.0, 1.0], "v0": "warm:0.5",
+             "t_grid": {"start": 0.0, "stop": math.nan, "num": 3}}, "t_grid"),
+    ("mc", {"experiment": "ode_convergence", "spec": [2.0, 1.0], "beta": 1e-3,
+            "n_chains": 10, "t_grid": [0.5, math.nan], "init": "warm:0.75"}, "t_grid"),
+    ("sde", {"spec": [2.0, 1.0], "t_end": 0.1, "dt": 1e-3, "u0": math.nan}, "u0"),
+    ("sde", {"spec": [2.0, 1.0], "t_end": math.inf, "dt": 1e-3}, "t_end"),
+    ("mc", {"experiment": "finite_sample", "spec": [2.0, 1.0], "t_list": [50]}, "t_list"),
+], ids=["ode-nan-t_grid", "ode-nan-grid-object", "mc-nan-t_grid", "sde-nan-u0",
+        "sde-inf-t_end", "mc-short-t_list"])
+def test_bad_input_is_exit_2_before_any_file(tmp_path, capsys, command, payload, field):
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_phases_subcommand(tmp_path):

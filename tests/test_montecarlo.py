@@ -8,6 +8,8 @@ import pytest
 from oja_diffusion import (
     EnsembleConfig,
     OjaConfig,
+    PhaseThresholds,
+    crossing_report,
     ensemble_summary,
     finite_sample_experiment,
     logistic_solution,
@@ -207,3 +209,22 @@ def test_experiment_deterministic_and_writable(tmp_path):
     assert set(paths) == {"table"}
     for p in paths.values():
         assert os.path.exists(p) and str(p).endswith(".csv")
+
+
+@pytest.mark.parametrize("sampler", ["bounded", "gaussian"])
+def test_crossing_report_and_experiments_share_one_config_echo(sampler):
+    # Every echo formats the chain fields alike, and a Gaussian one carries
+    # the sampler note, the crossing report included.
+    base = OjaConfig(spec=SPEC2, beta=1e-2, n_steps=300, init=np.array([0.6, 0.8]),
+                     seed=3, sampler=sampler, record_stride=1)
+    chain = {"spec": [2.0, 1.0], "beta": 1e-2, "n_steps": 300, "init": [0.6, 0.8],
+             "seed": 3, "sampler": sampler}
+    if sampler == "gaussian":
+        chain["sampler_note"] = GAUSSIAN_SAMPLER_NOTE
+    report = crossing_report(run_chain(base), PhaseThresholds(0.25), k=2)
+    assert report.config == {**chain, "delta": 0.25, "k": 2}
+    ens = EnsembleConfig(base=base, n_chains=3, t_grid=(1.0,))
+    portrait = phase_portrait_experiment(ens, 0.25, k=2)
+    assert portrait.config_echo == {**chain, "n_chains": 3, "delta": 0.25, "k": 2}
+    flow = ode_convergence_experiment(ens)
+    assert flow.config_echo == {**chain, "n_chains": 3, "t_grid": [1.0]}

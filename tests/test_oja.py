@@ -72,6 +72,15 @@ def test_sin2_angle():
     assert sin2_angle(e1, diag) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_sin2_angle_keeps_precision_near_zero():
+    # (v.w)^2 rounds to exactly 1 here, so 1 - (v.w)^2 would read 0.
+    v = np.array([1.0, 1e-10])
+    v /= np.linalg.norm(v)
+    e1 = np.array([1.0, 0.0])
+    assert sin2_angle(v, e1) == pytest.approx(1e-20, rel=1e-12, abs=0.0)
+    assert sin2_angle(e1, v) == pytest.approx(1e-20, rel=1e-12, abs=0.0)
+
+
 def test_increment_parts_fuzz():
     # Randomized corpus over dimensions, spectra, in-ball samples and
     # admissible stepsizes.  The main term is the O(beta) drift direction and
@@ -249,6 +258,15 @@ def test_sin2_keeps_the_tail_mass_after_1_minus_v1sq_underflows():
     assert tail[-1] < 1e-40
     assert np.all(traj.sin2_angle > 0.0)
     np.testing.assert_allclose(traj.sin2_angle, tail, rtol=1e-12, atol=0.0)
+
+
+def test_sin2_angle_matches_the_tail_mass_on_a_long_chain():
+    cfg = OjaConfig(spec=make_spectrum([2.0, 1.0, 0.5]), beta=1e-3, n_steps=60_000,
+                    init="uniform", seed=3, sampler="bounded")
+    traj = run_chain(cfg)
+    e1 = np.array([1.0, 0.0, 0.0])
+    angles = np.array([sin2_angle(state, e1) for state in traj.states])
+    np.testing.assert_allclose(angles, traj.sin2_angle, rtol=1e-12, atol=0.0)
 
 
 def test_run_chain_deterministic_in_seed():

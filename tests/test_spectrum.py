@@ -10,7 +10,7 @@ from oja_diffusion import (
     sample_bounded,
     sample_gaussian,
 )
-from oja_diffusion.spectrum import MAX_SEED, SAMPLERS, derive_seed, get_sampler
+from oja_diffusion.spectrum import MAX_SEED, SAMPLERS, _axis_draws, derive_seed, get_sampler
 
 
 def test_make_spectrum_fields():
@@ -111,6 +111,21 @@ def test_single_draw_equals_first_block_row():
     one = sample_gaussian(sp, chain_rng(3, 0))
     row = sample_gaussian(sp, chain_rng(3, 0), 5)[0]
     np.testing.assert_array_equal(one, row)
+
+
+@pytest.mark.parametrize("n", [1, 7, 1024])
+def test_axis_draws_match_generator_choice(n):
+    # The bounded stream's axis draw is Generator.choice with p = lambda / tr,
+    # minus the per-call checks: the same indices and the same generator state.
+    sp = make_spectrum([5.0, 4.0, 3.0, 2.0, 1.0])
+    for seed in range(5):
+        rng, ref = chain_rng(seed, 0), chain_rng(seed, 0)
+        idx, signs = _axis_draws(sp, rng, n)
+        expected = ref.choice(sp.d, size=n, p=sp.lambdas / sp.trace)
+        np.testing.assert_array_equal(idx, expected)
+        assert idx.dtype == expected.dtype
+        np.testing.assert_array_equal(signs, ref.integers(0, 2, size=n) * 2 - 1)
+        assert rng.random() == ref.random()
 
 
 def test_get_sampler():
