@@ -29,6 +29,7 @@ from .phases import (
     CrossingReport,
     EmpiricalCrossings,
     PhaseThresholds,
+    _saddle_index,
     crossing_report,
     cutoff_ratios,
     predict_crossings,
@@ -44,7 +45,7 @@ from .montecarlo import (
     sde_covariance_experiment,
 )
 from .sde import OuSpec, _as_u0, _check_dt, ou_mean_cov, ou_ensemble_moments, simulate_ou
-from .spectrum import make_spectrum
+from .spectrum import get_sampler, make_spectrum
 
 ENV_OUT = "OJA_DIFFUSION_OUT"
 
@@ -79,6 +80,17 @@ def _number(cfg: dict, key: str, default=_REQUIRED):
         return float(val)
     except (TypeError, ValueError):
         raise ConfigError(f"config field '{key}': expected a number, got {val!r}") from None
+
+
+def _positive(key: str, val) -> float:
+    """``val`` as a finite positive number; ConfigError naming ``key`` otherwise."""
+    try:
+        x = float(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config field '{key}': expected a number, got {val!r}") from None
+    if not 0.0 < x < np.inf:
+        raise ConfigError(f"config field '{key}': must be a finite positive number, got {val!r}")
+    return x
 
 
 def _integer(cfg: dict, key: str, default=_REQUIRED):
@@ -320,6 +332,14 @@ def cmd_phases(cfg: dict, runner: _Runner, args) -> None:
         raise ConfigError(f"phase parameters are invalid: {e}") from None
     traj_csv = cfg.get("trajectory_csv")
     betas = cfg.get("betas_for_cutoff")
+    if betas is not None:
+        if not isinstance(betas, list):
+            raise ConfigError(f"config field 'betas_for_cutoff': expected a list, got {betas!r}")
+        betas = [_positive("betas_for_cutoff", b) for b in betas]
+        try:
+            cutoff_rows = [(b, *cutoff_ratios(spec, b, delta, k)) for b in betas]
+        except ValueError as e:
+            raise ConfigError(f"config field 'betas_for_cutoff': {e}") from None
     runner.begin()
     if traj_csv is not None:
         chain_cfg = _oja_config(cfg, spec, runner.manifest["master_seed"])
@@ -334,11 +354,7 @@ def cmd_phases(cfg: dict, runner: _Runner, args) -> None:
     _write_text(runner.path("crossing_report.json"), report.to_json() + "\n")
     _write_text(runner.path("crossing_report.txt"), report.to_text() + "\n")
     if betas is not None:
-        rows = []
-        for b in betas:
-            r21, r31 = cutoff_ratios(spec, float(b), delta, k)
-            rows.append((float(b), r21, r31))
-        table = Table(columns=("beta", "r21", "r31"), rows=rows)
+        table = Table(columns=("beta", "r21", "r31"), rows=cutoff_rows)
         _atomic_write(runner.path("cutoff.csv"), table.to_csv)
 
 
@@ -356,6 +372,10 @@ def cmd_mc(cfg: dict, runner: _Runner, args) -> None:
         except (TypeError, ValueError, OverflowError) as e:
             raise ConfigError(f"config field 't_list': {e}") from None
         sampler = _field(cfg, "sampler", "gaussian")
+        try:
+            get_sampler(sampler)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"config field 'sampler': {e}") from None
         runner.begin()
         try:
             result = finite_sample_experiment(
@@ -391,6 +411,16 @@ def cmd_mc(cfg: dict, runner: _Runner, args) -> None:
             )
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        if experiment == "phase_portrait":
+            delta = _number(cfg, "delta")
+            try:
+                PhaseThresholds(delta=delta)
+            except ValueError as e:
+                raise ConfigError(f"config field 'delta': {e}") from None
+            try:
+                k = _saddle_index(base, cfg.get("k"))
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ConfigError(f"config field 'k': {e}") from None
         try:
             if experiment == "ode_convergence":
                 runner.begin()
@@ -400,11 +430,8 @@ def cmd_mc(cfg: dict, runner: _Runner, args) -> None:
                 runner.begin()
                 result = sde_covariance_experiment(ens, k, workers=workers)
             else:
-                delta = _number(cfg, "delta")
                 runner.begin()
-                result = phase_portrait_experiment(
-                    ens, delta, k=cfg.get("k"), workers=workers
-                )
+                result = phase_portrait_experiment(ens, delta, k=k, workers=workers)
         except ValueError as e:
             raise ConfigError(str(e)) from None
     else:
@@ -424,8 +451,9 @@ def cmd_mc(cfg: dict, runner: _Runner, args) -> None:
 def cmd_rates(cfg: dict, runner: _Runner, args) -> None:
     spec = _spectrum(cfg)
     t_samples = _number(cfg, "t_samples")
-    b = cfg.get("b")
-    sigma_star2 = cfg.get("sigma_star2")
+    b, sigma_star2 = (
+        None if cfg.get(key) is None else _positive(key, cfg[key]) for key in ("b", "sigma_star2")
+    )
     try:
         report = rate_report(spec, t_samples, b=b, sigma_star2=sigma_star2)
     except ValueError as e:

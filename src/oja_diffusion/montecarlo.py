@@ -15,8 +15,8 @@ Experiments map diffusion-limit predictions onto ensemble statistics:
   closed-form OU mean/variance (Gaussian stream only).
 * ``finite_sample_experiment``: terminal sin^2 at the horizon-tuned stepsize
   vs the predicted rate level, over several horizons.
-* ``phase_portrait_experiment``: per-chain three-phase crossings plus median
-  sin^2 curves from a saddle start.
+* ``phase_portrait_experiment``: three-phase crossings of every chain, detected
+  over the whole ensemble at once, plus median sin^2 curves from a saddle start.
 
 Each experiment returns named tables (CSV-ready) plus a summary dict; the CLI
 adds a JSON manifest with a config echo, wall time and content hashes.
@@ -35,7 +35,6 @@ import numpy as np
 from .ode import logistic_solution
 from .oja import (
     OjaConfig,
-    Trajectory,
     _config_echo,
     _parse_preset,
     _run_lockstep,
@@ -45,8 +44,10 @@ from .oja import (
 )
 from .phases import (
     PhaseThresholds,
+    _detect_crossings,
     _saddle_index,
-    crossing_report,
+    _trailing_window,
+    crossing_report,  # unused here; the benchmark tracer patches it on this module
     predict_crossings,
     rate_bound_sin2,
     stepsize_rule,
@@ -202,13 +203,17 @@ class EnsembleSummary:
         return Table(columns=tuple(cols), rows=rows)
 
 
-def ensemble_summary(cfg: EnsembleConfig, workers: int = 1) -> EnsembleSummary:
-    """Run the ensemble and reduce to grid moments (deterministic in config)."""
+def _grid_states(cfg: EnsembleConfig, workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's steps and the states there, (n_t, n_chains, d); repeated steps run once."""
     steps_for_grid = cfg.grid_steps()
     rec_steps = np.unique(steps_for_grid)
     states = run_ensemble_states(cfg.base, cfg.n_chains, rec_steps, workers=workers)
-    sel = np.searchsorted(rec_steps, steps_for_grid)
-    states = states[sel]  # (n_t, n_chains, d), duplicates allowed
+    return steps_for_grid, states[np.searchsorted(rec_steps, steps_for_grid)]
+
+
+def ensemble_summary(cfg: EnsembleConfig, workers: int = 1) -> EnsembleSummary:
+    """Run the ensemble and reduce to grid moments (deterministic in config)."""
+    steps_for_grid, states = _grid_states(cfg, workers)
     n = cfg.n_chains
     v1sq = states[:, :, 0] ** 2
     sin2 = _sin2(states)
@@ -332,17 +337,14 @@ def sde_covariance_experiment(cfg: EnsembleConfig, k: int, workers: int = 1) -> 
     if not np.array_equal(v0, ek):
         raise ValueError(f"init must be exactly e_{k} (preset 'saddle:{k}')")
     ou = OuSpec(spec=base.spec, k=k)
-    steps_for_grid = cfg.grid_steps()
-    rec_steps = np.unique(steps_for_grid)
-    states = run_ensemble_states(base, cfg.n_chains, rec_steps, workers=workers)
-    sel = np.searchsorted(rec_steps, steps_for_grid)
+    states = _grid_states(cfg, workers)[1]
     other = [i for i in range(base.spec.d) if i != k - 1]
     root_beta = np.sqrt(base.beta)
     rows = []
     max_rel = 0.0
     n_included = 0
     for j, t in enumerate(cfg.t_grid):
-        u = states[sel[j]][:, other] / root_beta  # (n_chains, d-1)
+        u = states[j][:, other] / root_beta  # (n_chains, d-1)
         emp_mean = u.mean(axis=0)
         emp_var = u.var(axis=0, ddof=1)
         mean_c, var_c = ou_mean_cov(ou, 0.0, float(t))
@@ -438,7 +440,7 @@ def finite_sample_experiment(
 def phase_portrait_experiment(
     cfg: EnsembleConfig, delta: float, k: Optional[int] = None, workers: int = 1
 ) -> ExperimentResult:
-    """Saddle-start ensemble: per-chain crossing reports and median sin^2 curve.
+    """Saddle-start ensemble: the crossings of every chain and the median sin^2 curve.
 
     The grid for recording is every ``record_stride``-th step of the base
     config (plus endpoints); detection granularity equals that stride.  The
@@ -450,45 +452,30 @@ def phase_portrait_experiment(
     thresholds = PhaseThresholds(delta=delta)
     rec_steps = _record_steps(base.n_steps, base.resolved_stride())
     states = run_ensemble_states(base, cfg.n_chains, rec_steps, workers=workers)
-    sin2 = _sin2(states)  # (n_rec, n_chains)
+    v1sq, sin2 = states[:, :, 0] ** 2, _sin2(states)  # (n_rec, n_chains) each
+    del states  # free the (n_rec, n_chains, d) block before the reductions allocate theirs
+    crossings = _detect_crossings(v1sq, sin2, rec_steps, base, thresholds.delta)
 
-    reports = []
-    for c in range(cfg.n_chains):
-        traj = Trajectory(
-            config=base, times=rec_steps, states=states[:, c, :], sin2_angle=sin2[:, c]
-        )
-        emp = crossing_report(traj, thresholds, k=k).empirical
-        reports.append(emp)
-
-    curve_rows = [
-        (int(rec_steps[j]), float(np.median(sin2[j])), float(np.quantile(sin2[j], 0.25)),
-         float(np.quantile(sin2[j], 0.75)))
-        for j in range(len(rec_steps))
-    ]
+    quartiles = np.quantile(sin2, [0.25, 0.75], axis=1)
+    curve_rows = list(zip(rec_steps.tolist(), np.median(sin2, axis=1).tolist(),
+                          quartiles[0].tolist(), quartiles[1].tolist()))
     crossing_rows = [
-        (c, r.n1, r.n2, r.n3) for c, r in enumerate(reports)
+        (c, *(None if n < 0 else n for n in col)) for c, col in enumerate(crossings.T.tolist())
     ]
 
     predicted = predict_crossings(base.spec, base.beta, delta, k)
-    stride = float(np.median(np.diff(rec_steps))) if len(rec_steps) > 1 else 1.0
     # Plateau window: at least the detection window, but no shorter than 10%
     # of the horizon, so the per-chain means average over several correlation
     # times and their median is not skew-biased.
-    window = max(1, int(round(1.0 / (base.beta * base.spec.gap) / stride)),
-                 len(rec_steps) // 10)
+    window = max(_trailing_window(base, rec_steps), len(rec_steps) // 10)
     tail_mean = sin2[-window:].mean(axis=0)  # per-chain plateau estimate
 
-    def med(values):
-        present = [v for v in values if v is not None]
-        return float(np.median(present)) if present else None
-
-    summary = {
-        "n1_median_empirical": med([r.n1 for r in reports]),
-        "n2_median_empirical": med([r.n2 for r in reports]),
-        "n3_median_empirical": med([r.n3 for r in reports]),
-        "n_detected_n1": sum(r.n1 is not None for r in reports),
-        "n_detected_n2": sum(r.n2 is not None for r in reports),
-        "n_detected_n3": sum(r.n3 is not None for r in reports),
+    summary = {}
+    for name, col in zip(("n1", "n2", "n3"), crossings):
+        present = col[col >= 0]
+        summary[f"{name}_median_empirical"] = float(np.median(present)) if present.size else None
+        summary[f"n_detected_{name}"] = int(present.size)
+    summary.update({
         "predicted": {
             "N1_median": predicted.n1_median,
             "N1_q10": predicted.n1_q10,
@@ -500,8 +487,8 @@ def phase_portrait_experiment(
         "plateau_median": float(np.median(tail_mean)),
         "stationary_sin2": stationary_sin2(base.spec, base.beta),
         "delta": float(delta),
-        "k": int(k),
-    }
+        "k": k,
+    })
     tables = {
         "curve": Table(columns=("step", "median_sin2", "q25_sin2", "q75_sin2"), rows=curve_rows),
         "crossings": Table(columns=("chain", "n1", "n2", "n3"), rows=crossing_rows),
@@ -510,5 +497,5 @@ def phase_portrait_experiment(
         name="phase_portrait",
         tables=tables,
         summary=summary,
-        config_echo=_config_echo(base, n_chains=int(cfg.n_chains), delta=float(delta), k=int(k)),
+        config_echo=_config_echo(base, n_chains=int(cfg.n_chains), delta=float(delta), k=k),
     )

@@ -112,6 +112,44 @@ def predict_crossings(spec: EigenSpectrum, beta: float, delta: float, k: int) ->
     )
 
 
+def _trailing_window(cfg: OjaConfig, steps: np.ndarray) -> int:
+    """Records that cover 1/(beta * gap) steps at the median record stride."""
+    stride = float(np.median(np.diff(steps))) if len(steps) > 1 else 1.0
+    return max(1, int(round(1.0 / (cfg.beta * cfg.spec.gap) / stride)))
+
+
+def _detect_crossings(
+    v1sq: np.ndarray, sin2: np.ndarray, steps: np.ndarray, cfg: OjaConfig, delta: float
+) -> np.ndarray:
+    """Crossings of every chain from (n_rec, n_chains) v_1^2 and sin^2 records.
+
+    Returns a (3, n_chains) int array of N1, N2 and N3 as defined in
+    :func:`detect_phases`, with -1 where a phase is never reached.
+    """
+    steps = np.asarray(steps)
+    rows = np.arange(len(steps))[:, None]
+    hit = v1sq >= delta
+    found1 = hit.any(axis=0)
+    i1 = hit.argmax(axis=0)
+    hit = (v1sq >= 1.0 - delta) & (rows >= i1)
+    found2 = found1 & hit.any(axis=0)
+    i2 = hit.argmax(axis=0)
+    window = _trailing_window(cfg, steps)
+    trailing = np.cumsum(sin2, axis=0)
+    # Window sums in place, last block first, so no copy of the array is made.
+    for end in range(len(trailing), window, -window):
+        start = max(window, end - window)
+        trailing[start:end] -= trailing[start - window:end - window]
+    trailing /= np.minimum(rows + 1, window)
+    hit = (rows > i2) & (trailing <= 2.0 * stationary_sin2(cfg.spec, cfg.beta))
+    found3 = found2 & hit.any(axis=0)
+    i3 = hit.argmax(axis=0)
+    n1 = steps[i1]
+    return np.where(
+        [found1, found2, found3], [n1, steps[i2] - n1, steps[i3] - steps[i2]], -1
+    )
+
+
 def detect_phases(traj: Trajectory, thresholds: PhaseThresholds) -> EmpiricalCrossings:
     """Detect the three phase boundaries on a recorded trajectory.
 
@@ -120,43 +158,10 @@ def detect_phases(traj: Trajectory, thresholds: PhaseThresholds) -> EmpiricalCro
     mean of sin^2 over a window of 1/(beta * gap) steps falls within twice
     the stationary level.  Detection granularity is the record stride.
     """
-    delta = thresholds.delta
-    beta = traj.config.beta
-    spec = traj.config.spec
-    steps = np.asarray(traj.times)
-    v1sq = traj.states[:, 0] ** 2
-
-    hit1 = np.nonzero(v1sq >= delta)[0]
-    if hit1.size == 0:
-        return EmpiricalCrossings(n1=None, n2=None, n3=None)
-    i1 = int(hit1[0])
-    n1 = int(steps[i1])
-
-    hit2 = np.nonzero(v1sq >= 1.0 - delta)[0]
-    hit2 = hit2[hit2 >= i1]
-    if hit2.size == 0:
-        return EmpiricalCrossings(n1=n1, n2=None, n3=None)
-    i2 = int(hit2[0])
-    n2 = int(steps[i2]) - n1
-
-    # Trailing window in records, sized to cover 1/(beta*gap) steps.
-    if len(steps) > 1:
-        stride = float(np.median(np.diff(steps)))
-    else:
-        stride = 1.0
-    window = max(1, int(round(1.0 / (beta * spec.gap) / stride)))
-    target = 2.0 * stationary_sin2(spec, beta)
-    sin2 = np.asarray(traj.sin2_angle)
-    csum = np.concatenate([[0.0], np.cumsum(sin2)])
-    idx = np.arange(len(sin2))
-    lo = np.maximum(0, idx - window + 1)
-    trailing = (csum[idx + 1] - csum[lo]) / (idx + 1 - lo)
-    hit3 = np.nonzero((idx > i2) & (trailing <= target))[0]
-    if hit3.size == 0:
-        return EmpiricalCrossings(n1=n1, n2=n2, n3=None)
-    i3 = int(hit3[0])
-    n3 = int(steps[i3]) - int(steps[i2])
-    return EmpiricalCrossings(n1=n1, n2=n2, n3=n3)
+    v1sq = traj.states[:, :1] ** 2
+    sin2 = np.asarray(traj.sin2_angle)[:, None]
+    crossings = _detect_crossings(v1sq, sin2, traj.times, traj.config, thresholds.delta)
+    return EmpiricalCrossings(*(None if n < 0 else int(n) for n in crossings[:, 0]))
 
 
 @dataclass(frozen=True)
@@ -207,14 +212,16 @@ class CrossingReport:
 
 
 def _saddle_index(cfg: OjaConfig, k: Optional[int]) -> int:
-    """k when given, else the axis named by a 'saddle:k' / 'near_saddle:k:eps' init."""
-    if k is not None:
-        return k
-    if isinstance(cfg.init, str):
+    """k when given, else the axis named by a 'saddle:k' / 'near_saddle:k:eps' init; in 2..d."""
+    if k is None and isinstance(cfg.init, str):
         preset = _parse_preset(cfg.spec, cfg.init)
         if preset[0] in ("saddle", "near_saddle"):
-            return preset[1]
-    raise ValueError("saddle index k is required when the init preset does not name one")
+            k = preset[1]
+    if k is None:
+        raise ValueError("saddle index k is required when the init preset does not name one")
+    if int(k) != k or not 2 <= k <= cfg.spec.d:
+        raise ValueError(f"saddle index k must be an integer in 2..{cfg.spec.d}, got {k!r}")
+    return int(k)
 
 
 def crossing_report(

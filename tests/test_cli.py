@@ -226,8 +226,17 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
     ("sde", {"spec": [2.0, 1.0], "t_end": 0.1, "dt": 1e-3, "u0": math.nan}, "u0"),
     ("sde", {"spec": [2.0, 1.0], "t_end": math.inf, "dt": 1e-3}, "t_end"),
     ("mc", {"experiment": "finite_sample", "spec": [2.0, 1.0], "t_list": [50]}, "t_list"),
+    ("rates", {"spec": [2.0, 1.0], "t_samples": 1e5, "b": math.nan}, "b"),
+    ("rates", {"spec": [2.0, 1.0], "t_samples": 1e5, "sigma_star2": "abc"}, "sigma_star2"),
+    ("phases", {"spec": [2.0, 1.0], "beta": 1e-3, "delta": 0.25,
+                "betas_for_cutoff": [math.nan]}, "betas_for_cutoff"),
+    ("mc", {"experiment": "finite_sample", "spec": [2.0, 1.0], "t_list": [100],
+            "sampler": "foo"}, "sampler"),
+    ("mc", {"experiment": "phase_portrait", "spec": [2.0, 1.0], "beta": 1e-3, "delta": 0.25,
+            "n_steps": 100, "n_chains": 4, "k": 1}, "k"),
 ], ids=["ode-nan-t_grid", "ode-nan-grid-object", "mc-nan-t_grid", "sde-nan-u0",
-        "sde-inf-t_end", "mc-short-t_list"])
+        "sde-inf-t_end", "mc-short-t_list", "rates-nan-b", "rates-text-sigma_star2",
+        "phases-nan-betas_for_cutoff", "mc-unknown-sampler", "mc-saddle-k-1"])
 def test_bad_input_is_exit_2_before_any_file(tmp_path, capsys, command, payload, field):
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "out"

@@ -23,6 +23,8 @@ from oja_diffusion import (
     stepsize_rule,
 )
 from oja_diffusion.montecarlo import Table, grid_to_steps
+from oja_diffusion.oja import Trajectory, _sin2, record_steps
+from oja_diffusion.phases import detect_phases
 from oja_diffusion.spectrum import GAUSSIAN_SAMPLER_NOTE
 
 SPEC2 = make_spectrum([2.0, 1.0])
@@ -197,6 +199,25 @@ def test_phase_portrait_experiment():
     assert 0.5 * pred["N2_high"] < s["n2_median_empirical"] < 2.0 * pred["N2_high"]
     assert 0.5 * pred["N3"] < s["n3_median_empirical"] < 2.0 * pred["N3"]
     assert 0.2 < s["plateau_median"] / s["stationary_sin2"] < 5.0
+
+
+def test_phase_portrait_matches_per_record_and_per_chain_reductions():
+    base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=12_000,
+                     init="near_saddle:2:1e-6", seed=11, sampler="gaussian")
+    res = phase_portrait_experiment(EnsembleConfig(base=base, n_chains=40, t_grid=(1.0,)),
+                                    delta=0.25)
+    steps = record_steps(base.n_steps, base.resolved_stride())
+    states = run_ensemble_states(base, 40, steps)
+    sin2 = _sin2(states)
+    assert res.tables["curve"].rows == [
+        (int(s), float(np.median(row)), float(np.quantile(row, 0.25)),
+         float(np.quantile(row, 0.75)))
+        for s, row in zip(steps, sin2)
+    ]
+    for c, row in enumerate(res.tables["crossings"].rows):
+        traj = Trajectory(config=base, times=steps, states=states[:, c], sin2_angle=sin2[:, c])
+        emp = detect_phases(traj, PhaseThresholds(0.25))
+        assert row == (c, emp.n1, emp.n2, emp.n3)
 
 
 def test_experiment_deterministic_and_writable(tmp_path):

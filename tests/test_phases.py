@@ -28,6 +28,7 @@ from oja_diffusion import (
     table1_rows,
     chain_rng,
 )
+from oja_diffusion.phases import _detect_crossings
 from oja_diffusion.oja import Trajectory
 
 SPEC2 = make_spectrum([2.0, 1.0])
@@ -84,6 +85,19 @@ def test_detect_phases_absent_cases():
     out = detect_phases(_ramp_trajectory(2500, ceiling=0.3), PhaseThresholds(0.25))
     assert out.n1 == 250
     assert out.n2 is None and out.n3 is None
+
+
+def test_ensemble_detector_reduces_every_column():
+    # The three ramps of the single-chain tests above, stacked as columns of
+    # one (n_rec, n_chains) record.
+    trajs = [_ramp_trajectory(2500, ceiling=c) for c in (0.1, 0.3, 1.0)]
+    crossings = _detect_crossings(
+        np.column_stack([t.states[:, 0] ** 2 for t in trajs]),
+        np.column_stack([t.sin2_angle for t in trajs]),
+        trajs[0].times, trajs[0].config, 0.25,
+    )
+    found = [tuple(None if n < 0 else n for n in col) for col in crossings.T.tolist()]
+    assert found == [(None, None, None), (250, None, None), (250, 500, 1937 - 750)]
 
 
 def test_detect_phases_equator_stuck_chain():
