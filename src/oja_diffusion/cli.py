@@ -1,11 +1,20 @@
 """Command-line front end.
 
 Subcommands: run, ode, sde, phases, mc, rates.  Each takes a JSON config via
---config, writes results to --out (default from OJA_DIFFUSION_OUT, then
-./out), and exits 0 on success, 2 on config/validation errors (the message
-names the failing field), 1 on runtime errors.  A manifest.json naming the
-command, config, seed and tool version is written atomically before any
-result file; wall time and output hashes are added once results exist.
+--config and writes results to --out (default from OJA_DIFFUSION_OUT, then
+./out).  :func:`main` runs every invocation in the same three steps:
+
+1. parse: the subcommand reads every config field and builds every library
+   object its run needs (spectrum, chain and ensemble configs, OU block,
+   thresholds, grids, deterministic inits, an input trajectory, cutoff rows).
+   A bad field is a ConfigError whose message names it; the exit code is 2
+   and nothing has been written, not even the output directory.
+2. begin: manifest.json, naming the command, config, seed and tool version,
+   is written atomically.
+3. run: the simulation and the result files.  Any exception here is a
+   runtime error and exits 1.  Wall time and output hashes are added to the
+   manifest once results exist.
+
 Every file write goes through one temp-then-rename writer, so an interrupted
 or failed write leaves neither a partial file nor a stray temp file.
 """
@@ -13,17 +22,20 @@ or failed write leaves neither a partial file nor a stray temp file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
 import tempfile
 import time
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .oja import OjaConfig, _config_echo, run_chain, trajectory_from_csv
+from .oja import (OjaConfig, _config_echo, _parse_preset, resolve_init, run_chain,
+                  trajectory_from_csv)
 from .ode import export_curve, ode_crossing_time
 from .phases import (
     CrossingReport,
@@ -39,15 +51,20 @@ from .montecarlo import (
     EnsembleConfig,
     Table,
     _check_t_list,
+    _finite_sample_bases,
+    _gaussian_only,
+    _ode_convergence_v0,
+    _ou_at_start,
     finite_sample_experiment,
     ode_convergence_experiment,
     phase_portrait_experiment,
     sde_covariance_experiment,
 )
 from .sde import OuSpec, _as_u0, _check_dt, ou_mean_cov, ou_ensemble_moments, simulate_ou
-from .spectrum import get_sampler, make_spectrum
+from .spectrum import _check_seed, chain_rng, get_sampler, make_spectrum
 
 ENV_OUT = "OJA_DIFFUSION_OUT"
+_EXPERIMENTS = ("ode_convergence", "sde_covariance", "finite_sample", "phase_portrait")
 
 
 class ConfigError(ValueError):
@@ -57,70 +74,105 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
-def _field(cfg: dict, key: str, default=_REQUIRED):
-    if key in cfg:
-        return cfg[key]
-    if default is _REQUIRED:
+@contextlib.contextmanager
+def _blame(key: str):
+    """Re-raise a ValueError, TypeError, OverflowError or OSError as ConfigError naming ``key``."""
+    try:
+        yield
+    except (ValueError, TypeError, OverflowError, OSError) as e:
+        raise ConfigError(f"config field '{key}': {e}") from None
+
+
+def _field(cfg: dict, key: str, convert=lambda v: v, default=_REQUIRED):
+    """``convert(cfg[key])``, or ``convert(default)`` when the key is absent.
+
+    A missing required key, or any error of the conversion (a library
+    constructor or check included), is a ConfigError naming ``key``.
+    """
+    if key not in cfg and default is _REQUIRED:
         raise ConfigError(f"config field '{key}' is required")
-    return default
+    with _blame(key):
+        return convert(cfg.get(key, default))
 
 
-def _spectrum(cfg: dict):
-    try:
-        return make_spectrum(_field(cfg, "spec"))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"config field 'spec': {e}") from None
+# Converters for _field: each returns the parsed value or raises ValueError/TypeError.
+def _real(v) -> float:
+    if isinstance(v, bool):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
 
 
-def _number(cfg: dict, key: str, default=_REQUIRED):
-    val = _field(cfg, key, default)
-    try:
-        return float(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config field '{key}': expected a number, got {val!r}") from None
+def _positive(v) -> float:
+    if not 0.0 < _real(v) < np.inf:
+        raise ValueError(f"must be a finite positive number, got {v!r}")
+    return float(v)
 
 
-def _positive(key: str, val) -> float:
-    """``val`` as a finite positive number; ConfigError naming ``key`` otherwise."""
-    try:
-        x = float(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config field '{key}': expected a number, got {val!r}") from None
-    if not 0.0 < x < np.inf:
-        raise ConfigError(f"config field '{key}': must be a finite positive number, got {val!r}")
-    return x
+def _time(v) -> float:
+    if not 0.0 <= _real(v) < np.inf:
+        raise ValueError(f"must be a finite nonnegative number, got {v!r}")
+    return float(v)
 
 
-def _integer(cfg: dict, key: str, default=_REQUIRED):
-    val = _field(cfg, key, default)
-    if isinstance(val, bool) or (not isinstance(val, int) and int(val) != val):
-        raise ConfigError(f"config field '{key}': expected an integer, got {val!r}")
-    return int(val)
+def _count(v, least: int = 0) -> int:
+    if isinstance(v, bool) or int(v) != v or v < least:
+        raise ValueError(f"expected an integer >= {least}, got {v!r}")
+    return int(v)
 
 
-def _t_grid(cfg: dict, key: str = "t_grid", default=_REQUIRED):
-    val = _field(cfg, key, default)
-    if isinstance(val, dict):
-        try:
-            grid = np.linspace(float(val["start"]), float(val["stop"]), int(val["num"]))
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise ConfigError(
-                f"config field '{key}': a grid object needs numeric 'start', 'stop' and integer 'num'"
-            ) from None
+def _typed(kind: type):
+    def check(v):
+        if not isinstance(v, kind):
+            raise TypeError(f"expected a JSON {kind.__name__}, got {v!r}")
+        return v
+
+    return check
+
+
+def _optional(convert):
+    return lambda v: None if v is None else convert(v)
+
+
+def _sampler(name) -> str:
+    get_sampler(name)
+    return name
+
+
+def _init(spec, init):
+    """``init`` as given, once it parses as a preset or resolves to a unit vector.
+
+    No generator is made: a run that draws nothing never imports numpy.random.
+    """
+    if isinstance(init, str):
+        _parse_preset(spec, init)
     else:
-        try:
-            grid = np.asarray([float(t) for t in val], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"config field '{key}': expected a list of times or a start/stop/num object"
-            ) from None
+        resolve_init(spec, init, None)
+    return init
+
+
+def _grid(val) -> np.ndarray:
+    """A list of times or a {"start", "stop", "num"} object, as finite nonnegative floats."""
+    if isinstance(val, dict) and val.keys() >= {"start", "stop", "num"}:
+        grid = np.linspace(_time(val["start"]), _time(val["stop"]), _count(val["num"]))
+    elif isinstance(val, list):
+        grid = np.array([_time(t) for t in val], dtype=float)
+    else:
+        raise TypeError(f"expected a list of times or a start/stop/num object, got {val!r}")
     if grid.size == 0:
-        raise ConfigError(f"config field '{key}': grid must not be empty")
-    if not np.all(np.isfinite(grid)):
-        raise ConfigError(f"config field '{key}': times must be finite, got {grid.tolist()}")
+        raise ValueError("grid must not be empty")
     return grid
+
+
+def _chain(cfg: dict, spec, seed: int, init="uniform", sampler="bounded", steps_for=None):
+    """The chain's OjaConfig; ``steps_for(beta)``, when given, is the default n_steps."""
+    beta = _field(cfg, "beta", _positive)
+    n_steps = _field(cfg, "n_steps", _count, _REQUIRED if steps_for is None else steps_for(beta))
+    sampler = _field(cfg, "sampler", _sampler, sampler)
+    init = _field(cfg, "init", lambda v: _init(spec, v), init)
+    stride = _field(cfg, "record_stride", _optional(lambda v: _count(v, 1)), None)
+    with _blame("beta"):  # all that is left to fail is the bounded stream's stepsize cap
+        return OjaConfig(spec=spec, beta=beta, n_steps=n_steps, init=init, seed=seed,
+                         sampler=sampler, record_stride=stride)
 
 
 def _atomic_write(path: str, write) -> None:
@@ -212,255 +264,175 @@ def _gnuplot_stub(runner: _Runner) -> None:
     _write_text(runner.path("plot.gp"), "\n".join(lines) + "\n")
 
 
-def _oja_config(cfg: dict, spec, seed, default_init="uniform", default_sampler="bounded"):
-    try:
-        return OjaConfig(
-            spec=spec,
-            beta=_number(cfg, "beta"),
-            n_steps=_integer(cfg, "n_steps"),
-            init=_field(cfg, "init", default_init),
-            seed=seed,
-            sampler=_field(cfg, "sampler", default_sampler),
-            record_stride=cfg.get("record_stride"),
+# Each cmd_* is a subcommand's parse step; it returns the run step, a function of the runner.
+def cmd_run(cfg: dict, seed: int, workers: int):
+    chain = _chain(cfg, _field(cfg, "spec", make_spectrum), seed)
+    include_states = _field(cfg, "include_states", _typed(bool), True)
+
+    def run(runner: _Runner) -> None:
+        traj = run_chain(chain)
+        _atomic_write(runner.path("trajectory.csv"),
+                      lambda tmp: traj.to_csv(tmp, include_states=include_states))
+        _write_json(
+            runner.path("summary.json"),
+            {
+                "n_records": int(len(traj.times)),
+                "final_step": int(traj.times[-1]),
+                "final_sin2": float(traj.sin2_angle[-1]),
+            },
         )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"config for chain is invalid: {e}") from None
+
+    return run
 
 
-def cmd_run(cfg: dict, runner: _Runner, args) -> None:
-    spec = _spectrum(cfg)
-    chain_cfg = _oja_config(cfg, spec, runner.manifest["master_seed"])
-    include_states = bool(_field(cfg, "include_states", True))
-    runner.begin()
-    traj = run_chain(chain_cfg)
-    _atomic_write(runner.path("trajectory.csv"),
-                  lambda tmp: traj.to_csv(tmp, include_states=include_states))
-    _write_json(
-        runner.path("summary.json"),
-        {
-            "n_records": int(len(traj.times)),
-            "final_step": int(traj.times[-1]),
-            "final_sin2": float(traj.sin2_angle[-1]),
-        },
-    )
-
-
-def cmd_ode(cfg: dict, runner: _Runner, args) -> None:
-    spec = _spectrum(cfg)
-    v0_spec = _field(cfg, "v0")
-    from .oja import resolve_init
-    from .spectrum import chain_rng
-
-    try:
-        v0 = resolve_init(spec, v0_spec, chain_rng(runner.manifest["master_seed"], 0))
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"config field 'v0': {e}") from None
-    grid = _t_grid(cfg)
-    if np.any(grid < 0):
-        raise ConfigError("config field 't_grid': times must be nonnegative")
-    delta = cfg.get("delta")
-    runner.begin()
-    _atomic_write(runner.path("ode_curve.csv"), lambda tmp: export_curve(spec, v0, grid, tmp))
+def cmd_ode(cfg: dict, seed: int, workers: int):
+    spec = _field(cfg, "spec", make_spectrum)
+    v0 = _field(cfg, "v0", lambda v: resolve_init(spec, v, chain_rng(seed, 0)))
+    grid = _field(cfg, "t_grid", _grid)
     summary = {"d": spec.d, "t_max": float(grid.max())}
+    delta = _field(cfg, "delta", _optional(_real), None)
     if delta is not None:
-        summary["delta"] = float(delta)
-        summary["crossing_time"] = ode_crossing_time(spec, v0, float(delta))
-    _write_json(runner.path("summary.json"), summary)
+        with _blame("delta"):
+            summary.update(delta=delta, crossing_time=ode_crossing_time(spec, v0, delta))
+
+    def run(runner: _Runner) -> None:
+        _atomic_write(runner.path("ode_curve.csv"), lambda tmp: export_curve(spec, v0, grid, tmp))
+        _write_json(runner.path("summary.json"), summary)
+
+    return run
 
 
-def cmd_sde(cfg: dict, runner: _Runner, args) -> None:
-    spec = _spectrum(cfg)
-    k = _integer(cfg, "k", 1)
-    try:
-        ou = OuSpec(spec=spec, k=k)
-    except ValueError as e:
-        raise ConfigError(f"config field 'k': {e}") from None
-    t_end = _number(cfg, "t_end")
-    if not (0.0 <= t_end < np.inf):
-        raise ConfigError(f"config field 't_end': must be finite and nonnegative, got {t_end}")
-    dt = _number(cfg, "dt")
-    try:
-        _check_dt(spec, dt)
-    except ValueError as e:
-        raise ConfigError(f"config field 'dt': {e}") from None
-    u0 = _field(cfg, "u0", 0.0)
-    try:
-        u0 = _as_u0(ou, u0)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"config field 'u0': {e}") from None
-    n_paths = _integer(cfg, "n_paths", 1000)
-    grid = _t_grid(cfg, default=np.linspace(0.0, t_end, 11))
-    seed = runner.manifest["master_seed"]
-    runner.begin()
-    path_obj = simulate_ou(ou, u0, t_end, dt, seed)
-    _atomic_write(runner.path("ou_path.csv"), path_obj.to_csv)
-    if n_paths >= 2:
+def cmd_sde(cfg: dict, seed: int, workers: int):
+    spec = _field(cfg, "spec", make_spectrum)
+    ou = _field(cfg, "k", lambda v: OuSpec(spec=spec, k=_count(v)), 1)
+    t_end = _field(cfg, "t_end", _time)
+    dt = _field(cfg, "dt", lambda v: _check_dt(spec, _real(v)))
+    u0 = _field(cfg, "u0", lambda v: _as_u0(ou, v), 0.0)
+    n_paths = _field(cfg, "n_paths", _count, 1000)
+    grid = _field(cfg, "t_grid", _grid, {"start": 0.0, "stop": t_end, "num": 11})
+
+    def run(runner: _Runner) -> None:
+        _atomic_write(runner.path("ou_path.csv"), simulate_ou(ou, u0, t_end, dt, seed).to_csv)
+        if n_paths < 2:
+            return
         times, means, varis = ou_ensemble_moments(ou, u0, grid, dt, n_paths, seed)
-        m = spec.d - 1
-        cols = (
-            ["t"]
-            + [f"mean_u{i + 1}" for i in range(m)]
-            + [f"var_u{i + 1}" for i in range(m)]
-            + [f"closed_mean_u{i + 1}" for i in range(m)]
-            + [f"closed_var_u{i + 1}" for i in range(m)]
-        )
+        cols = ["t"] + [f"{stat}_u{i + 1}" for stat in ("mean", "var", "closed_mean", "closed_var")
+                        for i in range(spec.d - 1)]
         rows = []
         for j, t in enumerate(times):
             mean_c, var_c = ou_mean_cov(ou, u0, float(t))
-            rows.append(
-                (float(t),)
-                + tuple(float(x) for x in means[j])
-                + tuple(float(x) for x in varis[j])
-                + tuple(float(x) for x in mean_c)
-                + tuple(float(x) for x in var_c)
-            )
+            rows.append((float(t), *means[j].tolist(), *varis[j].tolist(), *mean_c.tolist(),
+                         *var_c.tolist()))
         table = Table(columns=tuple(cols), rows=rows)
         _atomic_write(runner.path("ou_moments.csv"), table.to_csv)
 
+    return run
 
-def cmd_phases(cfg: dict, runner: _Runner, args) -> None:
-    spec = _spectrum(cfg)
-    beta = _number(cfg, "beta")
-    delta = _number(cfg, "delta")
-    k = _integer(cfg, "k", 2)
-    try:
-        thresholds = PhaseThresholds(delta=delta)
+
+def cmd_phases(cfg: dict, seed: int, workers: int):
+    spec = _field(cfg, "spec", make_spectrum)
+    beta = _field(cfg, "beta", _positive)
+    thresholds = _field(cfg, "delta", lambda v: PhaseThresholds(delta=_real(v)))
+    delta = thresholds.delta
+    k = _field(cfg, "k", _count, 2)
+    with _blame("k"):
         predicted = predict_crossings(spec, beta, delta, k)
-    except ValueError as e:
-        raise ConfigError(f"phase parameters are invalid: {e}") from None
-    traj_csv = cfg.get("trajectory_csv")
-    betas = cfg.get("betas_for_cutoff")
-    if betas is not None:
-        if not isinstance(betas, list):
-            raise ConfigError(f"config field 'betas_for_cutoff': expected a list, got {betas!r}")
-        betas = [_positive("betas_for_cutoff", b) for b in betas]
-        try:
-            cutoff_rows = [(b, *cutoff_ratios(spec, b, delta, k)) for b in betas]
-        except ValueError as e:
-            raise ConfigError(f"config field 'betas_for_cutoff': {e}") from None
-    runner.begin()
+
+    def cutoff_table(betas) -> Table:
+        rows = [(b, *cutoff_ratios(spec, b, delta, k)) for b in map(_positive, _typed(list)(betas))]
+        return Table(columns=("beta", "r21", "r31"), rows=rows)
+
+    cutoff = _field(cfg, "betas_for_cutoff", _optional(cutoff_table), None)
+    traj = None
+    traj_csv = _field(cfg, "trajectory_csv", _optional(_typed(str)), None)
     if traj_csv is not None:
-        chain_cfg = _oja_config(cfg, spec, runner.manifest["master_seed"])
-        traj = trajectory_from_csv(traj_csv, chain_cfg)
-        report = crossing_report(traj, thresholds, k=k)
-    else:
-        report = CrossingReport(
-            empirical=EmpiricalCrossings(n1=None, n2=None, n3=None),
-            predicted=predicted,
-            config=_config_echo(spec=spec, beta=beta, delta=delta, k=k),
-        )
-    _write_text(runner.path("crossing_report.json"), report.to_json() + "\n")
-    _write_text(runner.path("crossing_report.txt"), report.to_text() + "\n")
-    if betas is not None:
-        table = Table(columns=("beta", "r21", "r31"), rows=cutoff_rows)
-        _atomic_write(runner.path("cutoff.csv"), table.to_csv)
+        chain = _chain(cfg, spec, seed)
+        with _blame("trajectory_csv"):
+            traj = trajectory_from_csv(traj_csv, chain)
 
-
-def cmd_mc(cfg: dict, runner: _Runner, args) -> None:
-    experiment = _field(cfg, "experiment")
-    spec = _spectrum(cfg)
-    seed = runner.manifest["master_seed"]
-    workers = args.workers
-    n_chains = _integer(cfg, "n_chains", 200)
-
-    if experiment == "finite_sample":
-        t_list = _field(cfg, "t_list")
-        try:
-            t_list = _check_t_list(t_list)
-        except (TypeError, ValueError, OverflowError) as e:
-            raise ConfigError(f"config field 't_list': {e}") from None
-        sampler = _field(cfg, "sampler", "gaussian")
-        try:
-            get_sampler(sampler)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"config field 'sampler': {e}") from None
-        runner.begin()
-        try:
-            result = finite_sample_experiment(
-                spec, t_list, n_chains, seed, sampler=sampler, workers=workers
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-    elif experiment in ("ode_convergence", "sde_covariance", "phase_portrait"):
-        grid = None
-        if experiment == "phase_portrait":
-            n_steps = _integer(cfg, "n_steps")
+    def run(runner: _Runner) -> None:
+        if traj is not None:
+            report = crossing_report(traj, thresholds, k=k)
         else:
-            grid = _t_grid(cfg)
-            if "n_steps" in cfg:
-                n_steps = _integer(cfg, "n_steps")
-            else:
-                beta = _number(cfg, "beta")
-                n_steps = int(np.floor(float(grid.max()) / beta + 1e-9)) if grid.size else 0
-        defaults = {
-            "ode_convergence": ("warm:0.5", "bounded"),
-            "sde_covariance": (f"saddle:{_integer(cfg, 'k', 1)}", "gaussian"),
-            "phase_portrait": ("saddle:2", "gaussian"),
-        }
-        default_init, default_sampler = defaults[experiment]
-        local = dict(cfg)
-        local["n_steps"] = n_steps
-        base = _oja_config(local, spec, seed, default_init=default_init,
-                           default_sampler=default_sampler)
-        try:
-            ens = EnsembleConfig(
-                base=base, n_chains=n_chains,
-                t_grid=tuple(grid) if grid is not None else (0.0,),
+            report = CrossingReport(
+                empirical=EmpiricalCrossings(n1=None, n2=None, n3=None),
+                predicted=predicted,
+                config=_config_echo(spec=spec, beta=beta, delta=delta, k=k),
             )
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-        if experiment == "phase_portrait":
-            delta = _number(cfg, "delta")
-            try:
-                PhaseThresholds(delta=delta)
-            except ValueError as e:
-                raise ConfigError(f"config field 'delta': {e}") from None
-            try:
-                k = _saddle_index(base, cfg.get("k"))
-            except (TypeError, ValueError, OverflowError) as e:
-                raise ConfigError(f"config field 'k': {e}") from None
-        try:
-            if experiment == "ode_convergence":
-                runner.begin()
-                result = ode_convergence_experiment(ens, workers=workers)
-            elif experiment == "sde_covariance":
-                k = _integer(cfg, "k", 1)
-                runner.begin()
-                result = sde_covariance_experiment(ens, k, workers=workers)
-            else:
-                runner.begin()
-                result = phase_portrait_experiment(ens, delta, k=k, workers=workers)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-    else:
+        _write_text(runner.path("crossing_report.json"), report.to_json() + "\n")
+        _write_text(runner.path("crossing_report.txt"), report.to_text() + "\n")
+        if cutoff is not None:
+            _atomic_write(runner.path("cutoff.csv"), cutoff.to_csv)
+
+    return run
+
+
+def cmd_mc(cfg: dict, seed: int, workers: int):
+    experiment = _field(cfg, "experiment")
+    if experiment not in _EXPERIMENTS:
         raise ConfigError(
             f"config field 'experiment': unknown experiment {experiment!r}; expected "
-            f"one of ode_convergence, sde_covariance, finite_sample, phase_portrait"
+            f"one of {', '.join(_EXPERIMENTS)}"
+        )
+    spec = _field(cfg, "spec", make_spectrum)
+    n_chains = _field(cfg, "n_chains", lambda v: _count(v, 1), 200)
+
+    if experiment == "finite_sample":
+        sampler = _field(cfg, "sampler", _sampler, "gaussian")
+        t_list = _field(cfg, "t_list", _check_t_list)
+        with _blame("t_list"):
+            _finite_sample_bases(spec, t_list, seed, sampler)
+        experiment_run = partial(finite_sample_experiment, spec, t_list, n_chains, seed,
+                                 sampler=sampler)
+    elif experiment == "phase_portrait":
+        base = _chain(cfg, spec, seed, init="saddle:2", sampler="gaussian")
+        ens = EnsembleConfig(base=base, n_chains=n_chains, t_grid=(0.0,))
+        delta = _field(cfg, "delta", lambda v: PhaseThresholds(delta=_real(v)).delta)
+        k = _field(cfg, "k", lambda v: _saddle_index(base, v), None)
+        experiment_run = partial(phase_portrait_experiment, ens, delta, k=k)
+    else:
+        grid = _field(cfg, "t_grid", _grid)
+        steps_for = lambda beta: np.floor(grid.max() / beta + 1e-9)
+        if experiment == "ode_convergence":
+            base = _chain(cfg, spec, seed, "warm:0.5", "bounded", steps_for)
+            with _blame("init"):
+                _ode_convergence_v0(base)
+        else:
+            k = _field(cfg, "k", lambda v: OuSpec(spec=spec, k=_count(v)).k, 1)
+            base = _chain(cfg, spec, seed, f"saddle:{k}", "gaussian", steps_for)
+            with _blame("sampler"):
+                _gaussian_only(base)
+            with _blame("init"):
+                _ou_at_start(base, k)
+        with _blame("t_grid"):
+            ens = EnsembleConfig(base=base, n_chains=n_chains, t_grid=tuple(grid))
+        experiment_run = (partial(ode_convergence_experiment, ens)
+                          if experiment == "ode_convergence"
+                          else partial(sde_covariance_experiment, ens, k))
+
+    def run(runner: _Runner) -> None:
+        result = experiment_run(workers=workers)
+        for key, table in result.tables.items():
+            _atomic_write(runner.path(f"{result.name}_{key}.csv"), table.to_csv)
+        _write_json(
+            runner.path("summary.json"),
+            {"experiment": result.name, "summary": result.summary, "config": result.config_echo},
         )
 
-    for key, table in result.tables.items():
-        _atomic_write(runner.path(f"{result.name}_{key}.csv"), table.to_csv)
-    _write_json(
-        runner.path("summary.json"),
-        {"experiment": result.name, "summary": result.summary, "config": result.config_echo},
-    )
+    return run
 
 
-def cmd_rates(cfg: dict, runner: _Runner, args) -> None:
-    spec = _spectrum(cfg)
-    t_samples = _number(cfg, "t_samples")
-    b, sigma_star2 = (
-        None if cfg.get(key) is None else _positive(key, cfg[key]) for key in ("b", "sigma_star2")
-    )
-    try:
-        report = rate_report(spec, t_samples, b=b, sigma_star2=sigma_star2)
-    except ValueError as e:
-        raise ConfigError(f"rate parameters are invalid: {e}") from None
-    runner.begin()
-    _write_text(runner.path("rate_report.json"), report.to_json() + "\n")
-    _write_text(runner.path("rate_table.txt"), report.to_text() + "\n")
+def cmd_rates(cfg: dict, seed: int, workers: int):
+    spec = _field(cfg, "spec", make_spectrum)
+    b, sigma_star2 = (_field(cfg, key, _optional(_positive), None) for key in ("b", "sigma_star2"))
+    report = _field(cfg, "t_samples",
+                    lambda t: rate_report(spec, _real(t), b=b, sigma_star2=sigma_star2))
+
+    def run(runner: _Runner) -> None:
+        _write_text(runner.path("rate_report.json"), report.to_json() + "\n")
+        _write_text(runner.path("rate_table.txt"), report.to_text() + "\n")
+
+    return run
 
 
 _COMMANDS = {
@@ -489,7 +461,7 @@ config keys:
   t_end    simulation horizon in diffusion time (required)
   dt       Euler step, <= 1e-2/lambda_1 (required)
   u0       initial rescaled state, scalar or (d-1)-vector (default 0)
-  n_paths  ensemble size for the moment table; < 2 skips it (default 1000)
+  n_paths  ensemble size for the moment table; 0 or 1 skips it (default 1000)
   t_grid   moment-table times (default 11 points spanning [0, t_end])
   seed     master seed (default 0)
 outputs: ou_path.csv, ou_moments.csv"""),
@@ -554,41 +526,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as e:
+        raise ConfigError(f"cannot read config: {e}") from None
+    except ValueError as e:
+        raise ConfigError(f"config is not valid JSON: {e}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    return cfg
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = args.out if args.out is not None else os.environ.get(ENV_OUT, "out")
+    parse = _COMMANDS[args.command][0]
     try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ConfigError("config must be a JSON object")
-    except OSError as e:
-        print(f"error: cannot read config: {e}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as e:
-        print(f"error: config is not valid JSON: {e}", file=sys.stderr)
-        return 2
+        cfg = _load_config(args.config)
+        seed = _field(cfg if args.seed is None else {"seed": args.seed}, "seed",
+                      lambda v: _check_seed(_count(v)), 0)
+        runner = _Runner(args.command, args.config, cfg, out_dir, seed)
+        run = parse(cfg, seed, args.workers)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        print(f"error: config field 'seed': must be an integer in [0, 2^64), got {seed!r}",
-              file=sys.stderr)
-        return 2
-
-    runner = _Runner(args.command, args.config, cfg, out_dir, seed)
-    handler = _COMMANDS[args.command][0]
     try:
-        handler(cfg, runner, args)
+        runner.begin()
+        run(runner)
         if args.gnuplot_stub:
             _gnuplot_stub(runner)
         runner.finish()
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except Exception as e:  # runtime failure after config validation
+    except Exception as e:  # every fault after begin() is a runtime error
         print(f"runtime error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     return 0

@@ -277,6 +277,41 @@ def _deterministic_init_vector(base: OjaConfig) -> np.ndarray:
     return resolve_init(base.spec, base.init, chain_rng(base.seed, 0))
 
 
+def _ode_convergence_v0(base: OjaConfig) -> np.ndarray:
+    """The init every chain shares; ValueError if it is random or on the equator (v_1 = 0)."""
+    v0 = _deterministic_init_vector(base)
+    if v0[0] == 0.0:
+        raise ValueError("init lies on the equator (v_1 = 0); the flow never leaves it")
+    return v0
+
+
+def _gaussian_only(base: OjaConfig) -> None:
+    """ValueError unless the chains draw the Gaussian stream, the one with the OU limit."""
+    if base.sampler != "gaussian":
+        raise ValueError(
+            f"sde_covariance_experiment requires sampler='gaussian': the "
+            f"'{base.sampler}' stream has E[Y_k^2 Y_i^2] != lambda_k lambda_i, "
+            f"so its local fluctuations follow a different diffusion"
+        )
+
+
+def _ou_at_start(base: OjaConfig, k) -> OuSpec:
+    """The OU block around e_k; ValueError unless every chain starts exactly at e_k."""
+    ou = OuSpec(spec=base.spec, k=k)
+    if not np.array_equal(_deterministic_init_vector(base), np.eye(base.spec.d)[int(k) - 1]):
+        raise ValueError(f"init must be exactly e_{k} (preset 'saddle:{k}')")
+    return ou
+
+
+def _finite_sample_bases(spec: EigenSpectrum, t_list, seed: int, sampler: str) -> list:
+    """One uniform-start chain config per horizon T: T steps at beta(T), own master seed."""
+    return [
+        OjaConfig(spec=spec, beta=stepsize_rule(spec, t), n_steps=t, init="uniform",
+                  seed=derive_seed(seed, j), sampler=sampler)
+        for j, t in enumerate(_check_t_list(t_list))
+    ]
+
+
 def ode_convergence_experiment(cfg: EnsembleConfig, workers: int = 1) -> ExperimentResult:
     """Mean overlap of the ensemble vs the closed-form flow on the grid.
 
@@ -284,9 +319,7 @@ def ode_convergence_experiment(cfg: EnsembleConfig, workers: int = 1) -> Experim
     the summary's ``sup_abs_diff`` is the weak-convergence discrepancy that
     shrinks as beta does.
     """
-    v0 = _deterministic_init_vector(cfg.base)
-    if v0[0] == 0.0:
-        raise ValueError("init lies on the equator (v_1 = 0); the flow never leaves it")
+    v0 = _ode_convergence_v0(cfg.base)
     summ = ensemble_summary(cfg, workers=workers)
     rows = []
     sup = 0.0
@@ -325,18 +358,8 @@ def sde_covariance_experiment(cfg: EnsembleConfig, k: int, workers: int = 1) -> 
     beta are reported but excluded from the deviation summary (noise floor).
     """
     base = cfg.base
-    if base.sampler != "gaussian":
-        raise ValueError(
-            f"sde_covariance_experiment requires sampler='gaussian': the "
-            f"'{base.sampler}' stream has E[Y_k^2 Y_i^2] != lambda_k lambda_i, "
-            f"so its local fluctuations follow a different diffusion"
-        )
-    v0 = _deterministic_init_vector(base)
-    ek = np.zeros(base.spec.d)
-    ek[k - 1] = 1.0
-    if not np.array_equal(v0, ek):
-        raise ValueError(f"init must be exactly e_{k} (preset 'saddle:{k}')")
-    ou = OuSpec(spec=base.spec, k=k)
+    _gaussian_only(base)
+    ou = _ou_at_start(base, k)
     states = _grid_states(cfg, workers)[1]
     other = [i for i in range(base.spec.d) if i != k - 1]
     root_beta = np.sqrt(base.beta)
@@ -401,15 +424,11 @@ def finite_sample_experiment(
     geometrically instead of levelling off, so ratios to the formula are not
     meaningful for it.
     """
-    t_list = _check_t_list(t_list)
+    bases = _finite_sample_bases(spec, t_list, seed, sampler)
     rows = []
     ratios = []
-    for j, t in enumerate(t_list):
-        beta = stepsize_rule(spec, t)
-        base = OjaConfig(
-            spec=spec, beta=beta, n_steps=t, init="uniform",
-            seed=derive_seed(seed, j), sampler=sampler,
-        )
+    for base in bases:
+        t, beta = base.n_steps, base.beta
         states = run_ensemble_states(base, n_chains, np.array([t]), workers=workers)
         sin2 = _sin2(states[0])
         mean = float(sin2.mean())
@@ -430,8 +449,8 @@ def finite_sample_experiment(
         "n_chains": int(n_chains),
         "sampler": sampler,
     }
-    echo = _config_echo(spec=spec, t_list=t_list, n_chains=int(n_chains), seed=seed,
-                        sampler=sampler)
+    echo = _config_echo(spec=spec, t_list=[b.n_steps for b in bases], n_chains=int(n_chains),
+                        seed=seed, sampler=sampler)
     return ExperimentResult(
         name="finite_sample", tables={"table": table}, summary=summary, config_echo=echo
     )

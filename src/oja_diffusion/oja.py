@@ -322,12 +322,14 @@ def trajectory_from_csv(path, config: OjaConfig) -> Trajectory:
     """Rebuild a trajectory from a CSV written by :meth:`Trajectory.to_csv`."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[0] != "step" or "sin2_angle" not in header:
+        header = next(reader, [])
+        if header[:1] != ["step"] or "sin2_angle" not in header:
             raise ValueError(f"not a trajectory CSV: unexpected header {header}")
         if len(header) < 3:
             raise ValueError("trajectory CSV must include the state columns")
         rows = [row for row in reader]
+    if not rows or any(len(r) != len(header) for r in rows):
+        raise ValueError(f"trajectory CSV needs at least one row, each of {len(header)} cells")
     times = np.array([int(r[0]) for r in rows])
     states = np.array([[float(x) for x in r[1:-1]] for r in rows])
     sin2 = np.array([float(r[-1]) for r in rows])

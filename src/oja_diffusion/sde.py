@@ -163,10 +163,11 @@ class OuPath:
                 writer.writerow([repr(float(t))] + [repr(float(x)) for x in row])
 
 
-def _check_dt(spec: EigenSpectrum, dt: float) -> None:
+def _check_dt(spec: EigenSpectrum, dt: float) -> float:
     cap = 1e-2 / max(float(spec.lambdas[0]), float(spec.lambdas[0] - spec.lambdas[-1]))
-    if dt <= 0.0 or dt > cap:
+    if not 0.0 < dt <= cap:
         raise ValueError(f"dt must lie in (0, {cap:.6g}], got {dt}")
+    return dt
 
 
 def _rng_from(seed) -> tuple[np.random.Generator, Optional[int]]:

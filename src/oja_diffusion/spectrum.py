@@ -223,6 +223,7 @@ def derive_seed(master_seed: int, *index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _check_seed(seed: int) -> None:
+def _check_seed(seed: int) -> int:
     if int(seed) != seed or not (0 <= seed <= MAX_SEED):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)

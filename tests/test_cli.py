@@ -8,10 +8,12 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oja_diffusion
 from oja_diffusion import __version__, rate_bound_sin2, stepsize_rule
@@ -234,15 +236,131 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
             "sampler": "foo"}, "sampler"),
     ("mc", {"experiment": "phase_portrait", "spec": [2.0, 1.0], "beta": 1e-3, "delta": 0.25,
             "n_steps": 100, "n_chains": 4, "k": 1}, "k"),
+    ("ode", {"spec": [2.0, 1.0], "v0": "warm:0.5", "t_grid": [0.0, 1.0], "delta": 0.9}, "delta"),
+    ("run", dict(RUN_CFG, init=[math.nan, 1.0]), "init"),
+    ("mc", {"experiment": "ode_convergence", "spec": [2.0, 1.0], "beta": 1e-3,
+            "n_chains": 10, "t_grid": [0.5], "init": "uniform"}, "init"),
+    ("mc", {"experiment": "sde_covariance", "spec": [2.0, 1.0], "beta": 1e-4,
+            "n_chains": 10, "t_grid": [0.5], "sampler": "bounded"}, "sampler"),
+    ("mc", {"experiment": "finite_sample", "spec": [1.0, 0.99], "t_list": [100],
+            "sampler": "bounded"}, "t_list"),
+    ("phases", {"spec": [2.0, 1.0], "beta": 1e-2, "delta": 0.25, "n_steps": "abc",
+                "sampler": "gaussian", "trajectory_csv": "no/such/trajectory.csv"}, "n_steps"),
+    ("phases", {"spec": [2.0, 1.0], "beta": 1e-2, "delta": 0.25, "n_steps": 1500,
+                "sampler": "gaussian", "trajectory_csv": "no/such/trajectory.csv"},
+     "trajectory_csv"),
+    ("run", dict(RUN_CFG, n_steps="abc"), "n_steps"),
+    ("run", dict(RUN_CFG, n_steps=None), "n_steps"),
+    ("sde", {"spec": [2.0, 1.0], "t_end": 0.1, "dt": 1e-3, "n_paths": "x"}, "n_paths"),
+    ("run", dict(RUN_CFG, include_states="no"), "include_states"),
+    ("sde", {"spec": [2.0, 1.0], "t_end": 0.1, "dt": math.nan}, "dt"),
 ], ids=["ode-nan-t_grid", "ode-nan-grid-object", "mc-nan-t_grid", "sde-nan-u0",
         "sde-inf-t_end", "mc-short-t_list", "rates-nan-b", "rates-text-sigma_star2",
-        "phases-nan-betas_for_cutoff", "mc-unknown-sampler", "mc-saddle-k-1"])
+        "phases-nan-betas_for_cutoff", "mc-unknown-sampler", "mc-saddle-k-1",
+        "ode-delta-0.9", "run-nan-init", "mc-uniform-init-ode_convergence",
+        "mc-bounded-sde_covariance", "mc-finite_sample-bounded-cap",
+        "phases-trajectory-n_steps-abc", "phases-missing-trajectory_csv", "run-n_steps-abc",
+        "run-n_steps-null", "sde-text-n_paths", "run-text-include_states",
+        "sde-nan-dt"])
 def test_bad_input_is_exit_2_before_any_file(tmp_path, capsys, command, payload, field):
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"config field '{field}'" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+# Small valid configs, one per subcommand (and per mc experiment); the fuzz below
+# perturbs one top-level field of one of them.  The phases config reads a
+# trajectory that the module fixture writes with the same chain fields.
+FUZZ_CHAIN = {"spec": [2.0, 1.0], "beta": 1e-2, "n_steps": 300, "init": "near_saddle:2:1e-4",
+              "sampler": "gaussian", "record_stride": 2, "seed": 3}
+FUZZ_CONFIGS = [
+    ("run", dict(FUZZ_CHAIN, include_states=True)),
+    ("ode", {"spec": [2.0, 1.0], "v0": "warm:0.5", "t_grid": [0.0, 0.5, 1.0], "delta": 0.25,
+             "seed": 1}),
+    ("sde", {"spec": [2.0, 1.0], "k": 1, "t_end": 0.05, "dt": 1e-3, "u0": 0.3, "n_paths": 8,
+             "t_grid": [0.0, 0.05], "seed": 2}),
+    ("phases", dict(FUZZ_CHAIN, delta=0.25, k=2, betas_for_cutoff=[1e-3, 1e-4])),
+    ("mc", {"experiment": "ode_convergence", "spec": [2.0, 1.0], "beta": 1e-2, "n_chains": 4,
+            "t_grid": [0.5], "n_steps": 60, "init": "warm:0.5", "sampler": "bounded", "seed": 4}),
+    ("mc", {"experiment": "sde_covariance", "spec": [2.0, 1.0], "beta": 1e-3, "n_chains": 4,
+            "t_grid": [0.05], "k": 1, "init": "saddle:1", "sampler": "gaussian"}),
+    ("mc", {"experiment": "finite_sample", "spec": [2.0, 1.0], "t_list": [100], "n_chains": 4,
+            "sampler": "gaussian"}),
+    ("mc", {"experiment": "phase_portrait", "spec": [2.0, 1.0], "beta": 1e-2, "delta": 0.25,
+            "n_steps": 200, "n_chains": 4, "init": "saddle:2", "sampler": "gaussian", "k": 2,
+            "record_stride": 2}),
+    ("rates", {"spec": [2.0, 1.0], "t_samples": 1e5, "b": 3.0, "sigma_star2": 2.0}),
+]
+_DELETE = object()
+PERTURBATIONS = [math.nan, math.inf, -math.inf, -1, 0, "abc", None, True, [0.5], _DELETE]
+
+
+@pytest.fixture(scope="module")
+def fuzz_trajectory(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    assert main(["run", "--config", write_cfg(tmp, FUZZ_CHAIN), "--out", str(tmp / "run")]) == 0
+    return str(tmp / "run" / "trajectory.csv")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=st.sampled_from(FUZZ_CONFIGS), data=st.data())
+def test_fuzzed_config_exits_0_with_valid_json_or_2_with_nothing_written(
+        fuzz_trajectory, case, data):
+    command, base = case
+    cfg = dict(base, trajectory_csv=fuzz_trajectory) if command == "phases" else dict(base)
+    key = data.draw(st.sampled_from(sorted(cfg)), label="field")
+    value = data.draw(st.sampled_from(PERTURBATIONS), label="value")
+    if value is _DELETE:
+        del cfg[key]
+    else:
+        cfg[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        rc = main([command, "--config", write_cfg(Path(tmp), cfg), "--out", str(out)])
+        assert rc in (0, 2)
+        if rc == 2:
+            assert not out.exists()
+            return
+        for path in out.glob("*.json"):
+            json.dumps(json.loads(path.read_text()), allow_nan=False)
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("run", RUN_CFG),
+    ("sde", {"spec": [2.0, 1.0], "k": 1, "t_end": 0.2, "dt": 1e-3, "u0": 0.3, "n_paths": 20,
+             "seed": 5}),
+    ("mc", {"experiment": "ode_convergence", "spec": [2.0, 1.0], "beta": 1e-2, "n_chains": 20,
+            "t_grid": [0.5, 1.0], "init": "warm:0.75", "seed": 9}),
+])
+def test_manifest_config_and_seed_rerun_the_same_outputs(tmp_path, command, payload):
+    first = tmp_path / "first"
+    assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    again = tmp_path / "again"
+    cfg = write_cfg(tmp_path, manifest["config"], name="from_manifest.json")
+    assert main([command, "--config", cfg, "--out", str(again),
+                 "--seed", str(manifest["master_seed"])]) == 0
+    rerun = json.loads((again / "manifest.json").read_text())
+    assert rerun["outputs"] == manifest["outputs"]
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "step,v1,v2,sin2_angle\n",
+    "step,v1,v2,sin2_angle\n0,1.0,0.0,0.0\n\n",
+    "step,v1,v2,sin2_angle\n0,1.0,0.0\n",
+], ids=["empty", "header-only", "blank-row", "short-row"])
+def test_malformed_trajectory_csv_is_exit_2(tmp_path, capsys, text):
+    csv_path = tmp_path / "trajectory.csv"
+    csv_path.write_text(text)
+    cfg = write_cfg(tmp_path, {"spec": [2.0, 1.0], "beta": 1e-2, "delta": 0.25, "n_steps": 10,
+                               "sampler": "gaussian", "trajectory_csv": str(csv_path)})
+    out = tmp_path / "out"
+    assert main(["phases", "--config", cfg, "--out", str(out)]) == 2
+    assert "config field 'trajectory_csv'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_phases_subcommand(tmp_path):
