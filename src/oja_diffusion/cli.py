@@ -11,12 +11,15 @@ Subcommands: run, ode, sde, phases, mc, rates.  Each takes a JSON config via
    and nothing has been written, not even the output directory.
 2. begin: manifest.json, naming the command, config, seed and tool version,
    is written atomically.
-3. run: the simulation and the result files.  Any exception here is a
-   runtime error and exits 1.  Wall time and output hashes are added to the
-   manifest once results exist.
+3. run: the simulation.  The run step returns its result files as
+   {file name: content}, where content is a Table (written as CSV), a JSON
+   object or a text string.  Once the whole run has finished, one writer
+   writes them in that order, then the manifest again with their wall time
+   and hashes.  Any exception here is a runtime error and exits 1; a run
+   that fails leaves only manifest.json.
 
-Every file write goes through one temp-then-rename writer, so an interrupted
-or failed write leaves neither a partial file nor a stray temp file.
+Every file goes through one temp-then-rename writer, so an interrupted or
+failed write leaves neither a partial file nor a stray temp file.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .oja import (OjaConfig, _config_echo, _parse_preset, resolve_init, run_chain,
+from .oja import (OjaConfig, Table, _config_echo, _parse_preset, resolve_init, run_chain,
                   trajectory_from_csv)
-from .ode import export_curve, ode_crossing_time
+from .ode import logistic_solution, ode_crossing_time
 from .phases import (
     CrossingReport,
     EmpiricalCrossings,
@@ -49,12 +52,12 @@ from .phases import (
 )
 from .montecarlo import (
     EnsembleConfig,
-    Table,
     _check_t_list,
     _finite_sample_bases,
     _gaussian_only,
     _ode_convergence_v0,
     _ou_at_start,
+    _two_chains,
     finite_sample_experiment,
     ode_convergence_experiment,
     phase_portrait_experiment,
@@ -194,16 +197,18 @@ def _atomic_write(path: str, write) -> None:
         os.rmdir(tmp_dir)
 
 
-def _write_text(path: str, text: str) -> None:
+def _write(path: str, content) -> None:
+    """Write one file atomically: a Table as CSV, a JSON object sorted and indented, a str as is."""
+    if isinstance(content, Table):
+        return _atomic_write(path, content.to_csv)
+    if not isinstance(content, str):
+        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+
     def write(tmp):
         with open(tmp, "w") as fh:
-            fh.write(text)
+            fh.write(content)
 
     _atomic_write(path, write)
-
-
-def _write_json(path: str, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _sha256(path: str) -> str:
@@ -215,11 +220,11 @@ def _sha256(path: str) -> str:
 
 
 class _Runner:
-    """Shared manifest/output bookkeeping for one CLI invocation."""
+    """The manifest of one CLI invocation, and the writing of its files."""
 
     def __init__(self, command: str, config_path: str, config: dict, out_dir: str, seed):
         self.out_dir = out_dir
-        self.outputs: list[str] = []
+        self.manifest_path = os.path.join(out_dir, "manifest.json")
         self.started = time.monotonic()
         self.manifest = {
             "command": command,
@@ -230,57 +235,48 @@ class _Runner:
             "tool_version": __version__,
         }
 
-    def manifest_path(self) -> str:
-        return os.path.join(self.out_dir, "manifest.json")
-
     def begin(self) -> None:
         os.makedirs(self.out_dir, exist_ok=True)
-        _write_json(self.manifest_path(), self.manifest)
+        _write(self.manifest_path, self.manifest)
 
-    def path(self, name: str) -> str:
-        path = os.path.join(self.out_dir, name)
-        self.outputs.append(path)
-        return path
-
-    def finish(self) -> None:
+    def finish(self, files: dict) -> None:
+        """Write every result file in order, then the manifest with their hashes."""
+        paths = {name: os.path.join(self.out_dir, name) for name in files}
+        for name, content in files.items():
+            _write(paths[name], content)
         self.manifest["wall_time_s"] = round(time.monotonic() - self.started, 6)
-        self.manifest["outputs"] = {
-            os.path.basename(p): _sha256(p) for p in self.outputs if os.path.exists(p)
-        }
-        _write_json(self.manifest_path(), self.manifest)
+        self.manifest["outputs"] = {name: _sha256(path) for name, path in paths.items()}
+        _write(self.manifest_path, self.manifest)
 
 
-def _gnuplot_stub(runner: _Runner) -> None:
-    csvs = [os.path.basename(p) for p in runner.outputs if p.endswith(".csv")]
+def _gnuplot_stub(files: dict) -> str:
     lines = [
         "# gnuplot stub: plots the first two columns of each CSV output",
         'set datafile separator ","',
         "set key autotitle columnhead",
         "set grid",
     ]
-    for name in csvs:
-        lines.append(f'plot "{name}" using 1:2 with lines')
-        lines.append("pause -1")
-    _write_text(runner.path("plot.gp"), "\n".join(lines) + "\n")
+    for name in (n for n in files if n.endswith(".csv")):
+        lines += [f'plot "{name}" using 1:2 with lines', "pause -1"]
+    return "\n".join(lines) + "\n"
 
 
-# Each cmd_* is a subcommand's parse step; it returns the run step, a function of the runner.
+# Each cmd_* is a subcommand's parse step.  It returns the run step, a function of no
+# arguments that returns the result files as {file name: content} in write order.
 def cmd_run(cfg: dict, seed: int, workers: int):
     chain = _chain(cfg, _field(cfg, "spec", make_spectrum), seed)
     include_states = _field(cfg, "include_states", _typed(bool), True)
 
-    def run(runner: _Runner) -> None:
+    def run() -> dict:
         traj = run_chain(chain)
-        _atomic_write(runner.path("trajectory.csv"),
-                      lambda tmp: traj.to_csv(tmp, include_states=include_states))
-        _write_json(
-            runner.path("summary.json"),
-            {
+        return {
+            "trajectory.csv": traj.table(include_states),
+            "summary.json": {
                 "n_records": int(len(traj.times)),
                 "final_step": int(traj.times[-1]),
                 "final_sin2": float(traj.sin2_angle[-1]),
             },
-        )
+        }
 
     return run
 
@@ -295,9 +291,10 @@ def cmd_ode(cfg: dict, seed: int, workers: int):
         with _blame("delta"):
             summary.update(delta=delta, crossing_time=ode_crossing_time(spec, v0, delta))
 
-    def run(runner: _Runner) -> None:
-        _atomic_write(runner.path("ode_curve.csv"), lambda tmp: export_curve(spec, v0, grid, tmp))
-        _write_json(runner.path("summary.json"), summary)
+    def run() -> dict:
+        cols = ("t", *(f"v{i + 1}_sq" for i in range(spec.d)))
+        rows = [(t, *(logistic_solution(spec, v0, t) ** 2).tolist()) for t in grid.tolist()]
+        return {"ode_curve.csv": Table(columns=cols, rows=rows), "summary.json": summary}
 
     return run
 
@@ -311,20 +308,23 @@ def cmd_sde(cfg: dict, seed: int, workers: int):
     n_paths = _field(cfg, "n_paths", _count, 1000)
     grid = _field(cfg, "t_grid", _grid, {"start": 0.0, "stop": t_end, "num": 11})
 
-    def run(runner: _Runner) -> None:
-        _atomic_write(runner.path("ou_path.csv"), simulate_ou(ou, u0, t_end, dt, seed).to_csv)
+    def run() -> dict:
+        path = simulate_ou(ou, u0, t_end, dt, seed)
+        cols = ("t", *(f"u{i + 1}" for i in range(spec.d - 1)))
+        rows = [(t, *u) for t, u in zip(path.times.tolist(), path.states.tolist())]
+        files = {"ou_path.csv": Table(columns=cols, rows=rows)}
         if n_paths < 2:
-            return
+            return files
         times, means, varis = ou_ensemble_moments(ou, u0, grid, dt, n_paths, seed)
-        cols = ["t"] + [f"{stat}_u{i + 1}" for stat in ("mean", "var", "closed_mean", "closed_var")
-                        for i in range(spec.d - 1)]
+        cols = ("t", *(f"{stat}_u{i + 1}" for stat in ("mean", "var", "closed_mean", "closed_var")
+                       for i in range(spec.d - 1)))
         rows = []
         for j, t in enumerate(times):
             mean_c, var_c = ou_mean_cov(ou, u0, float(t))
             rows.append((float(t), *means[j].tolist(), *varis[j].tolist(), *mean_c.tolist(),
                          *var_c.tolist()))
-        table = Table(columns=tuple(cols), rows=rows)
-        _atomic_write(runner.path("ou_moments.csv"), table.to_csv)
+        files["ou_moments.csv"] = Table(columns=cols, rows=rows)
+        return files
 
     return run
 
@@ -350,7 +350,7 @@ def cmd_phases(cfg: dict, seed: int, workers: int):
         with _blame("trajectory_csv"):
             traj = trajectory_from_csv(traj_csv, chain)
 
-    def run(runner: _Runner) -> None:
+    def run() -> dict:
         if traj is not None:
             report = crossing_report(traj, thresholds, k=k)
         else:
@@ -359,10 +359,11 @@ def cmd_phases(cfg: dict, seed: int, workers: int):
                 predicted=predicted,
                 config=_config_echo(spec=spec, beta=beta, delta=delta, k=k),
             )
-        _write_text(runner.path("crossing_report.json"), report.to_json() + "\n")
-        _write_text(runner.path("crossing_report.txt"), report.to_text() + "\n")
+        files = {"crossing_report.json": report.to_json_dict(),
+                 "crossing_report.txt": report.to_text() + "\n"}
         if cutoff is not None:
-            _atomic_write(runner.path("cutoff.csv"), cutoff.to_csv)
+            files["cutoff.csv"] = cutoff
+        return files
 
     return run
 
@@ -376,6 +377,9 @@ def cmd_mc(cfg: dict, seed: int, workers: int):
         )
     spec = _field(cfg, "spec", make_spectrum)
     n_chains = _field(cfg, "n_chains", lambda v: _count(v, 1), 200)
+    if experiment in ("sde_covariance", "finite_sample"):
+        with _blame("n_chains"):
+            _two_chains(n_chains)
 
     if experiment == "finite_sample":
         sampler = _field(cfg, "sampler", _sampler, "gaussian")
@@ -410,14 +414,12 @@ def cmd_mc(cfg: dict, seed: int, workers: int):
                           if experiment == "ode_convergence"
                           else partial(sde_covariance_experiment, ens, k))
 
-    def run(runner: _Runner) -> None:
+    def run() -> dict:
         result = experiment_run(workers=workers)
-        for key, table in result.tables.items():
-            _atomic_write(runner.path(f"{result.name}_{key}.csv"), table.to_csv)
-        _write_json(
-            runner.path("summary.json"),
-            {"experiment": result.name, "summary": result.summary, "config": result.config_echo},
-        )
+        files = {f"{result.name}_{key}.csv": table for key, table in result.tables.items()}
+        files["summary.json"] = {"experiment": result.name, "summary": result.summary,
+                                 "config": result.config_echo}
+        return files
 
     return run
 
@@ -428,11 +430,8 @@ def cmd_rates(cfg: dict, seed: int, workers: int):
     report = _field(cfg, "t_samples",
                     lambda t: rate_report(spec, _real(t), b=b, sigma_star2=sigma_star2))
 
-    def run(runner: _Runner) -> None:
-        _write_text(runner.path("rate_report.json"), report.to_json() + "\n")
-        _write_text(runner.path("rate_table.txt"), report.to_text() + "\n")
-
-    return run
+    return lambda: {"rate_report.json": report.to_json_dict(),
+                    "rate_table.txt": report.to_text() + "\n"}
 
 
 _COMMANDS = {
@@ -479,7 +478,7 @@ outputs: crossing_report.json, crossing_report.txt [, cutoff.csv]"""),
 config keys (common):
   experiment  "ode_convergence" | "sde_covariance" | "finite_sample" | "phase_portrait" (required)
   spec        eigenvalues (required)
-  n_chains    ensemble size (default 200)
+  n_chains    ensemble size (default 200; at least 2 for sde_covariance, finite_sample)
   seed        master seed (default 0)
 per experiment:
   ode_convergence: beta, t_grid (required); init (default "warm:0.5"), sampler
@@ -554,10 +553,10 @@ def main(argv=None) -> int:
         return 2
     try:
         runner.begin()
-        run(runner)
+        files = run()
         if args.gnuplot_stub:
-            _gnuplot_stub(runner)
-        runner.finish()
+            files["plot.gp"] = _gnuplot_stub(files)
+        runner.finish(files)
     except Exception as e:  # every fault after begin() is a runtime error
         print(f"runtime error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

@@ -18,14 +18,13 @@ Experiments map diffusion-limit predictions onto ensemble statistics:
 * ``phase_portrait_experiment``: three-phase crossings of every chain, detected
   over the whole ensemble at once, plus median sin^2 curves from a saddle start.
 
-Each experiment returns named tables (CSV-ready) plus a summary dict; the CLI
-adds a JSON manifest with a config echo, wall time and content hashes.
+Each experiment returns named tables plus a summary dict; the CLI writes each
+table as a CSV and adds a JSON manifest with a config echo, wall time and
+content hashes.
 """
 
 from __future__ import annotations
 
-import csv
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -35,6 +34,7 @@ import numpy as np
 from .ode import logistic_solution
 from .oja import (
     OjaConfig,
+    Table,
     _config_echo,
     _parse_preset,
     _run_lockstep,
@@ -63,7 +63,6 @@ from .spectrum import (
 __all__ = [
     "EnsembleConfig",
     "EnsembleSummary",
-    "Table",
     "ExperimentResult",
     "run_ensemble_states",
     "ensemble_summary",
@@ -233,21 +232,6 @@ def ensemble_summary(cfg: EnsembleConfig, workers: int = 1) -> EnsembleSummary:
 
 
 @dataclass(frozen=True, eq=False)
-class Table:
-    """A small named-column table that round-trips through CSV."""
-
-    columns: tuple
-    rows: list
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow(["" if x is None else (repr(x) if isinstance(x, float) else x) for x in row])
-
-
-@dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """Named tables plus a JSON-ready summary and config echo."""
 
@@ -255,15 +239,6 @@ class ExperimentResult:
     tables: dict
     summary: dict
     config_echo: dict
-
-    def write_tables(self, out_dir) -> dict:
-        """Write each table as <name>_<table>.csv under out_dir; returns paths."""
-        paths = {}
-        for key, table in self.tables.items():
-            path = os.path.join(out_dir, f"{self.name}_{key}.csv")
-            table.to_csv(path)
-            paths[key] = path
-        return paths
 
 
 def _deterministic_init_vector(base: OjaConfig) -> np.ndarray:
@@ -301,6 +276,12 @@ def _ou_at_start(base: OjaConfig, k) -> OuSpec:
     if not np.array_equal(_deterministic_init_vector(base), np.eye(base.spec.d)[int(k) - 1]):
         raise ValueError(f"init must be exactly e_{k} (preset 'saddle:{k}')")
     return ou
+
+
+def _two_chains(n_chains: int) -> None:
+    """ValueError below two chains: a variance over one chain (ddof=1) is NaN."""
+    if n_chains < 2:
+        raise ValueError(f"needs at least 2 chains for its variances, got {n_chains}")
 
 
 def _finite_sample_bases(spec: EigenSpectrum, t_list, seed: int, sampler: str) -> list:
@@ -359,6 +340,7 @@ def sde_covariance_experiment(cfg: EnsembleConfig, k: int, workers: int = 1) -> 
     """
     base = cfg.base
     _gaussian_only(base)
+    _two_chains(cfg.n_chains)
     ou = _ou_at_start(base, k)
     states = _grid_states(cfg, workers)[1]
     other = [i for i in range(base.spec.d) if i != k - 1]
@@ -424,6 +406,7 @@ def finite_sample_experiment(
     geometrically instead of levelling off, so ratios to the formula are not
     meaningful for it.
     """
+    _two_chains(n_chains)
     bases = _finite_sample_bases(spec, t_list, seed, sampler)
     rows = []
     ratios = []

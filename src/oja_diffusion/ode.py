@@ -21,8 +21,6 @@ eigenvalues.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .spectrum import EigenSpectrum
@@ -32,7 +30,6 @@ __all__ = [
     "logistic_solution",
     "integrate_rk4",
     "ode_crossing_time",
-    "export_curve",
 ]
 
 
@@ -142,14 +139,3 @@ def ode_crossing_time(spec: EigenSpectrum, v0: np.ndarray, delta: float) -> floa
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-def export_curve(spec: EigenSpectrum, v0: np.ndarray, t_grid, path) -> None:
-    """Write the closed-form squared coordinates (t, V_1^2 ... V_d^2) as CSV."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"v{i + 1}_sq" for i in range(spec.d)])
-        for t in t_grid:
-            v = logistic_solution(spec, np.asarray(v0, dtype=float), float(t))
-            writer.writerow([repr(float(t))] + [repr(float(x * x)) for x in v])

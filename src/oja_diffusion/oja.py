@@ -48,6 +48,7 @@ from .spectrum import (
 __all__ = [
     "OjaConfig",
     "Trajectory",
+    "Table",
     "IncrementParts",
     "oja_step",
     "sin2_angle",
@@ -304,22 +305,40 @@ class Trajectory:
     states: np.ndarray  # shape (n_records, d)
     sin2_angle: np.ndarray  # tail mass sum_{i>=2} states[:, i]**2, i.e. 1 - v_1^2
 
-    def to_csv(self, path, include_states: bool = True) -> None:
-        d = self.states.shape[1]
+    def table(self, include_states: bool = True) -> "Table":
+        """The CSV table (step, v1..vd, sin2_angle), or (step, sin2_angle) without states."""
+        if not include_states:
+            return Table(columns=("step", "sin2_angle"),
+                         rows=list(zip(self.times.tolist(), self.sin2_angle.tolist())))
+        cols = ("step", *(f"v{i + 1}" for i in range(self.states.shape[1])), "sin2_angle")
+        rows = [(t, *v, s2) for t, v, s2 in
+                zip(self.times.tolist(), self.states.tolist(), self.sin2_angle.tolist())]
+        return Table(columns=cols, rows=rows)
+
+
+def _cell(x) -> str:
+    """One CSV cell: any float as repr(float(x)), None as empty, anything else as str."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return "" if x is None else str(x)
+
+
+@dataclass(frozen=True, eq=False)
+class Table:
+    """A small named-column table; :meth:`to_csv` writes every CSV the package writes."""
+
+    columns: tuple
+    rows: list
+
+    def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            if include_states:
-                writer.writerow(["step"] + [f"v{i + 1}" for i in range(d)] + ["sin2_angle"])
-                for t, row, s2 in zip(self.times, self.states, self.sin2_angle):
-                    writer.writerow([int(t)] + [repr(float(x)) for x in row] + [repr(float(s2))])
-            else:
-                writer.writerow(["step", "sin2_angle"])
-                for t, s2 in zip(self.times, self.sin2_angle):
-                    writer.writerow([int(t), repr(float(s2))])
+            writer.writerow(self.columns)
+            writer.writerows([_cell(x) for x in row] for row in self.rows)
 
 
 def trajectory_from_csv(path, config: OjaConfig) -> Trajectory:
-    """Rebuild a trajectory from a CSV written by :meth:`Trajectory.to_csv`."""
+    """Rebuild a trajectory from the CSV of :meth:`Trajectory.table`."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])

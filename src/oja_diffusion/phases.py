@@ -24,7 +24,6 @@ unspecified universal constants are set to 1, and reports say so.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -190,9 +189,6 @@ class CrossingReport:
             "config": self.config,
             "note": CONSTANTS_NOTE,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         emp = self.empirical
@@ -361,9 +357,6 @@ class RateReport:
             "table1_rows": [[name, value] for name, value in self.table1_rows],
             "note": CONSTANTS_NOTE,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         lines = [

@@ -37,7 +37,6 @@ distinct grid steps and reduces them to moments.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from dataclasses import dataclass
@@ -153,14 +152,6 @@ class OuPath:
     times: np.ndarray  # (n_times,)
     states: np.ndarray  # (n_times, m)
     seed: Optional[int]
-
-    def to_csv(self, path) -> None:
-        m = self.states.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"u{i + 1}" for i in range(m)])
-            for t, row in zip(self.times, self.states):
-                writer.writerow([repr(float(t))] + [repr(float(x)) for x in row])
 
 
 def _check_dt(spec: EigenSpectrum, dt: float) -> float:

@@ -1,5 +1,6 @@
 """End-to-end checks of the experiment CLI: exit codes, manifests, determinism."""
 
+import csv
 import hashlib
 import json
 import math
@@ -254,6 +255,10 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
     ("sde", {"spec": [2.0, 1.0], "t_end": 0.1, "dt": 1e-3, "n_paths": "x"}, "n_paths"),
     ("run", dict(RUN_CFG, include_states="no"), "include_states"),
     ("sde", {"spec": [2.0, 1.0], "t_end": 0.1, "dt": math.nan}, "dt"),
+    ("mc", {"experiment": "sde_covariance", "spec": [2.0, 1.0], "beta": 1e-3,
+            "n_chains": 1, "t_grid": [0.05]}, "n_chains"),
+    ("mc", {"experiment": "finite_sample", "spec": [2.0, 1.0], "t_list": [100],
+            "n_chains": 1}, "n_chains"),
 ], ids=["ode-nan-t_grid", "ode-nan-grid-object", "mc-nan-t_grid", "sde-nan-u0",
         "sde-inf-t_end", "mc-short-t_list", "rates-nan-b", "rates-text-sigma_star2",
         "phases-nan-betas_for_cutoff", "mc-unknown-sampler", "mc-saddle-k-1",
@@ -261,7 +266,7 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
         "mc-bounded-sde_covariance", "mc-finite_sample-bounded-cap",
         "phases-trajectory-n_steps-abc", "phases-missing-trajectory_csv", "run-n_steps-abc",
         "run-n_steps-null", "sde-text-n_paths", "run-text-include_states",
-        "sde-nan-dt"])
+        "sde-nan-dt", "mc-sde_covariance-one-chain", "mc-finite_sample-one-chain"])
 def test_bad_input_is_exit_2_before_any_file(tmp_path, capsys, command, payload, field):
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "out"
@@ -413,6 +418,22 @@ def test_mc_subcommand(tmp_path):
     assert table[0].startswith("t,step,mean_v1sq")
 
 
+def test_mc_table_cells_parse_as_numbers(tmp_path):
+    # A numpy float cell must read as a plain float, not as np.float64(...).
+    cfg = write_cfg(tmp_path, {
+        "experiment": "sde_covariance", "spec": [2.0, 1.0], "beta": 1e-3,
+        "n_chains": 20, "t_grid": [0.05, 0.1],
+    })
+    out = tmp_path / "out"
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "sde_covariance_table.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows
+    for cell in (c for row in rows for c in row):
+        if cell not in ("", "True", "False"):
+            float(cell)
+
+
 def test_mc_unknown_experiment_is_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"experiment": "bootstrap", "spec": [2.0, 1.0]})
     assert main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -472,11 +493,11 @@ def test_workers_do_not_change_mc_output(tmp_path):
 
 
 @pytest.mark.parametrize("command, payload, target", [
-    ("run", RUN_CFG, "oja_diffusion.oja.Trajectory.to_csv"),
+    ("run", RUN_CFG, "oja_diffusion.oja.Table.to_csv"),
     ("sde", {"spec": [2.0, 1.0], "t_end": 0.1, "dt": 1e-3, "n_paths": 1},
-     "oja_diffusion.sde.OuPath.to_csv"),
+     "oja_diffusion.oja.Table.to_csv"),
     ("ode", {"spec": [2.0, 1.0], "v0": "warm:0.5", "t_grid": [0.0, 1.0]},
-     "oja_diffusion.cli.export_curve"),
+     "oja_diffusion.oja.Table.to_csv"),
 ])
 def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, capsys, command, payload, target):
     def broken(*args, **kwargs):

@@ -15,8 +15,10 @@ import oja_diffusion
 from oja_diffusion import (
     OjaConfig,
     chain_rng,
+    increment_parts,
     make_spectrum,
     oja_step,
+    random_rotation,
     resolve_init,
     run_chain,
     run_ensemble_states,
@@ -128,6 +130,22 @@ def test_stream_stops_at_the_last_record(monkeypatch, sampler):
         np.testing.assert_array_equal(rng.bit_generator.state["state"]["counter"],
                                       ref.bit_generator.state["state"]["counter"])
         np.testing.assert_array_equal(rng.random(8), ref.random(8))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(d=st.integers(2, 50), beta=st.floats(1e-6, 1e-1), seed=st.integers(0, 2**32 - 1))
+def test_update_is_rotation_equivariant(d, beta, seed):
+    # The update is built from inner products alone, so rotating the state and
+    # the sample rotates the step: oja_step(Qv, Qy) = Q oja_step(v, y).
+    rng = np.random.default_rng(seed)
+    q = random_rotation(d, rng)
+    v = rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    y = rng.standard_normal(d)
+    np.testing.assert_allclose(oja_step(q @ v, q @ y, beta), q @ oja_step(v, y, beta),
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(increment_parts(q @ v, q @ y, beta).main,
+                               q @ increment_parts(v, y, beta).main, rtol=0, atol=1e-13)
 
 
 _OVERFLOW_SCRIPT = textwrap.dedent("""

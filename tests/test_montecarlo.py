@@ -105,13 +105,14 @@ def test_ensemble_summary_statistics():
 
 
 def test_table_to_csv(tmp_path):
-    tab = Table(columns=("a", "b"), rows=[(1.5, None), (0.1, 3)])
+    tab = Table(columns=("a", "b"), rows=[(1.5, None), (0.1, 3), (np.float64(0.1), True)])
     path = tmp_path / "t.csv"
     tab.to_csv(path)
     text = path.read_text().splitlines()
     assert text[0] == "a,b"
     assert text[1] == "1.5,"  # None becomes an empty cell
     assert text[2] == "0.1,3"
+    assert text[3] == "0.1,True"  # a numpy float reads as a plain float
 
 
 def test_ode_convergence_experiment():
@@ -226,10 +227,22 @@ def test_experiment_deterministic_and_writable(tmp_path):
     a = ode_convergence_experiment(cfg, workers=2)
     b = ode_convergence_experiment(cfg, workers=1)
     assert a.tables["table"].rows == b.tables["table"].rows
-    paths = a.write_tables(tmp_path)
+    paths = {key: tmp_path / f"{a.name}_{key}.csv" for key in a.tables}
+    for key, table in a.tables.items():
+        table.to_csv(paths[key])
     assert set(paths) == {"table"}
     for p in paths.values():
         assert os.path.exists(p) and str(p).endswith(".csv")
+
+
+def test_variance_experiments_need_two_chains():
+    # One chain has no ddof=1 variance: the fit would be NaN, not a number to report.
+    base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=50, init="saddle:1", seed=1,
+                     sampler="gaussian")
+    with pytest.raises(ValueError, match="2 chains"):
+        sde_covariance_experiment(EnsembleConfig(base=base, n_chains=1, t_grid=(0.05,)), 1)
+    with pytest.raises(ValueError, match="2 chains"):
+        finite_sample_experiment(SPEC2, [100], 1, seed=1)
 
 
 @pytest.mark.parametrize("sampler", ["bounded", "gaussian"])

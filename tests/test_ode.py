@@ -1,6 +1,7 @@
 """Flow field, closed-form solution, RK4 cross-check, crossing times."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -8,13 +9,13 @@ import pytest
 
 from oja_diffusion import (
     chain_rng,
-    export_curve,
     integrate_rk4,
     logistic_solution,
     make_spectrum,
     ode_crossing_time,
     ode_rhs,
 )
+from oja_diffusion.cli import main
 
 SPEC2 = make_spectrum([2.0, 1.0])
 
@@ -153,9 +154,10 @@ def test_export_curve(tmp_path):
     sp = make_spectrum([2.0, 1.0, 0.5])
     v0 = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
     grid = [0.0, 0.5, 1.0, 2.0]
-    path = tmp_path / "curve.csv"
-    export_curve(sp, v0, grid, path)
-    with open(path, newline="") as fh:
+    cfg = tmp_path / "ode.json"
+    cfg.write_text(json.dumps({"spec": sp.lambdas.tolist(), "v0": v0.tolist(), "t_grid": grid}))
+    assert main(["ode", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "ode_curve.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "v1_sq", "v2_sq", "v3_sq"]
     assert len(rows) == 1 + len(grid)

@@ -282,7 +282,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
     cfg = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=120, seed=4, record_stride=40)
     traj = run_chain(cfg)
     path = tmp_path / "traj.csv"
-    traj.to_csv(path)
+    traj.table().to_csv(path)
     back = trajectory_from_csv(path, cfg)
     np.testing.assert_array_equal(back.times, traj.times)
     np.testing.assert_array_equal(back.states, traj.states)

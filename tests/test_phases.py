@@ -125,7 +125,7 @@ def test_crossing_report_structure():
     assert doc["config"]["k"] == 3
     pred = predict_crossings(sp3, 1e-2, 0.25, 3)
     assert doc["predicted"]["N1_median"] == pred.n1_median
-    json.loads(rep.to_json())  # round-trips
+    json.loads(json.dumps(rep.to_json_dict()))  # round-trips
     text = rep.to_text()
     assert "N1" in text and "N2" in text and "N3" in text
 
@@ -254,4 +254,4 @@ def test_rate_report():
     assert "constants" in doc["note"]
     text = rep.to_text()
     assert "oja-diffusion" in text and "minimax" in text
-    json.loads(rep.to_json())
+    json.loads(json.dumps(rep.to_json_dict()))
