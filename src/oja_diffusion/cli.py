@@ -377,7 +377,7 @@ def cmd_mc(cfg: dict, seed: int, workers: int):
         )
     spec = _field(cfg, "spec", make_spectrum)
     n_chains = _field(cfg, "n_chains", lambda v: _count(v, 1), 200)
-    if experiment in ("sde_covariance", "finite_sample"):
+    if experiment != "phase_portrait":
         with _blame("n_chains"):
             _two_chains(n_chains)
 
@@ -478,7 +478,7 @@ outputs: crossing_report.json, crossing_report.txt [, cutoff.csv]"""),
 config keys (common):
   experiment  "ode_convergence" | "sde_covariance" | "finite_sample" | "phase_portrait" (required)
   spec        eigenvalues (required)
-  n_chains    ensemble size (default 200; at least 2 for sde_covariance, finite_sample)
+  n_chains    ensemble size (default 200; at least 2 except for phase_portrait)
   seed        master seed (default 0)
 per experiment:
   ode_convergence: beta, t_grid (required); init (default "warm:0.5"), sampler
@@ -499,6 +499,14 @@ outputs: rate_report.json, rate_table.txt"""),
 }
 
 
+def _workers(text: str) -> int:
+    """The --workers value; argparse exits 2 naming the option unless it is at least 1."""
+    try:
+        return _count(int(text), 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oja-diffusion",
@@ -517,7 +525,8 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"output directory (default: ${ENV_OUT} if set, else ./out)",
         )
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--workers", type=int, default=1, help="worker threads for ensembles")
+        p.add_argument("--workers", type=_workers, default=1,
+                       help="worker processes for ensembles, at least 1 (default 1)")
         p.add_argument(
             "--gnuplot-stub", action="store_true",
             help="also write plot.gp referencing the CSV outputs",

@@ -2,7 +2,9 @@
 
 The engine splits the chains into one chunk per worker and runs each chunk
 through the lockstep kernel of :mod:`oja_diffusion.oja`, the same kernel that
-:func:`oja.run_chain` runs on chain 0 alone.  Chain i draws its stream from
+:func:`oja.run_chain` runs on chain 0 alone.  With more than one worker each
+chunk runs in a forked process, which writes its states straight into one
+shared buffer that the caller then holds.  Chain i draws its stream from
 ``chain_rng(master_seed, i)`` in fixed blocks, so results are bit-identical
 for a given config no matter how chains are chunked across workers, and chain
 0 reproduces :func:`oja.run_chain` with the same master seed.
@@ -25,7 +27,9 @@ content hashes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import contextlib
+import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -93,15 +97,15 @@ def grid_to_steps(t_grid, beta: float, n_steps: int) -> np.ndarray:
     return steps
 
 
-def _check_n_chains(n_chains) -> int:
-    """The chain count as an int; ValueError unless it is a positive integer."""
+def _check_count(name: str, value) -> int:
+    """The count as an int; ValueError unless it is a positive integer."""
     try:
-        valid = int(n_chains) == n_chains and n_chains >= 1
+        valid = int(value) == value and value >= 1
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
-        raise ValueError(f"n_chains must be a positive integer, got {n_chains!r}")
-    return int(n_chains)
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _check_t_list(t_list) -> list:
@@ -128,7 +132,7 @@ class EnsembleConfig:
     t_grid: tuple
 
     def __post_init__(self):
-        _check_n_chains(self.n_chains)
+        _check_count("n_chains", self.n_chains)
         grid = tuple(float(t) for t in self.t_grid)
         if len(grid) == 0:
             raise ValueError("t_grid must not be empty")
@@ -141,33 +145,78 @@ class EnsembleConfig:
         return grid_to_steps(self.t_grid, self.base.beta, self.base.n_steps)
 
 
+def _worker_count(workers: int, n_chains: int) -> int:
+    """Processes for an ensemble: the request, capped by the CPUs and at two chains each."""
+    return min(workers, os.cpu_count() or 1, n_chains // 2)
+
+
 def run_ensemble_states(
     base: OjaConfig, n_chains: int, rec_steps: np.ndarray, workers: int = 1
 ) -> np.ndarray:
     """States of every chain at the requested steps: shape (n_rec, n_chains, d).
 
     ``rec_steps`` must be strictly increasing and within [0, n_steps].  The
-    worker count only chunks the chain axis; outputs are concatenated in
-    chain order, so it never affects values.
+    worker count only chunks the chain axis, so it never affects values: with
+    more than one worker (:func:`_worker_count`) each chunk runs in a forked
+    process.  Without ``fork`` the chains run serially.
     """
-    n_chains = _check_n_chains(n_chains)
+    n_chains = _check_count("n_chains", n_chains)
+    workers = _check_count("workers", workers)
     rec_steps = np.asarray(rec_steps, dtype=int)
     if rec_steps.size == 0 or np.any(np.diff(rec_steps) <= 0):
         raise ValueError("record steps must be nonempty and strictly increasing")
     if rec_steps[0] < 0 or rec_steps[-1] > base.n_steps:
         raise ValueError("record steps must lie within [0, n_steps]")
-    workers = max(1, int(workers))
-    if workers == 1 or n_chains < 2 * workers:
-        return _run_lockstep(base, range(n_chains), rec_steps)
+    workers = _worker_count(workers, n_chains)
+    if workers > 1 and hasattr(os, "fork"):
+        return _run_forked(base, n_chains, rec_steps, workers)
+    return _run_lockstep(base, range(n_chains), rec_steps)
+
+
+# In a worker process: the parent's state array, over the shared buffer.
+_shared_states = None
+
+
+def _attach(buffer, shape: tuple) -> None:
+    global _shared_states
+    _shared_states = np.frombuffer(buffer, dtype=float).reshape(shape)
+
+
+def _run_chunk(index: int, base: OjaConfig, lo: int, hi: int, rec_steps: np.ndarray) -> None:
+    # A forked child starts on its parent's CPU, and Linux can leave two
+    # children sharing one CPU for a whole chunk while another idles.  Moving
+    # chunk i once to the i-th allowed CPU, then allowing all again, spreads
+    # them; it is only a hint, so a refusal is ignored.
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+            os.sched_setaffinity(0, cpus)
+    _run_lockstep(base, range(lo, hi), rec_steps, out=_shared_states[:, lo:hi])
+
+
+def _run_forked(base: OjaConfig, n_chains: int, rec_steps: np.ndarray, workers: int):
+    """One chunk of chains per forked process, each written into one shared buffer.
+
+    The buffer is an anonymous shared mapping made before the pool starts, and
+    the children inherit it through the pool's initializer, which ``fork``
+    does not pickle; no state array is pickled back.  ``spawn`` and
+    ``forkserver`` would re-run the caller's ``__main__``.
+    """
+    import mmap
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    shape = (len(rec_steps), n_chains, base.spec.d)
+    buffer = mmap.mmap(-1, 8 * math.prod(shape))
     bounds = np.linspace(0, n_chains, workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_run_lockstep, base, range(lo, hi), rec_steps)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        chunks = [f.result() for f in futures]
-    return np.concatenate(chunks, axis=1)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_attach, initargs=(buffer, shape)) as pool:
+        futures = [pool.submit(_run_chunk, i, base, lo, hi, rec_steps)
+                   for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
+        for future in futures:
+            future.result()
+    return np.frombuffer(buffer, dtype=float).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,14 +265,13 @@ def ensemble_summary(cfg: EnsembleConfig, workers: int = 1) -> EnsembleSummary:
     n = cfg.n_chains
     v1sq = states[:, :, 0] ** 2
     sin2 = _sin2(states)
-    ddof = 1 if n > 1 else 0
-    se = lambda x: x.std(axis=1, ddof=ddof) / np.sqrt(n)
+    se = lambda x: x.std(axis=1, ddof=1) / np.sqrt(n)
     return EnsembleSummary(
         times=np.asarray(cfg.t_grid),
         steps=steps_for_grid,
         n_chains=n,
         mean_v=states.mean(axis=1),
-        var_v=states.var(axis=1, ddof=ddof),
+        var_v=states.var(axis=1, ddof=1),
         mean_v1sq=v1sq.mean(axis=1),
         se_v1sq=se(v1sq),
         mean_sin2=sin2.mean(axis=1),
@@ -300,6 +348,7 @@ def ode_convergence_experiment(cfg: EnsembleConfig, workers: int = 1) -> Experim
     the summary's ``sup_abs_diff`` is the weak-convergence discrepancy that
     shrinks as beta does.
     """
+    _two_chains(cfg.n_chains)
     v0 = _ode_convergence_v0(cfg.base)
     summ = ensemble_summary(cfg, workers=workers)
     rows = []

@@ -22,9 +22,20 @@ the deterministic limit integrates.
 Every trajectory comes from one lockstep kernel over an (n_chains, d) array
 of states.  ``run_chain`` runs it on chain 0 alone and the Monte Carlo
 ensembles run it on chunks of chains, so a single chain is bit for bit chain
-0 of an ensemble.  It draws nothing past the last recorded step.  For the
-Gaussian stream it steps the states through the same update expression as
-``oja_step``.  For the bounded stream it uses the closed form: each draw
+0 of an ensemble.  It draws nothing past the last recorded step.
+
+For the Gaussian stream it leaves out the projection.  Before it, a step is
+the linear map w <- (I + beta Y Y^T) w, so the chain on the sphere is the
+normalised form of a stochastic power method.  The kernel steps
+w += beta (w.Y) Y in place, normalises w at every K-th step (counted from
+step 0), and records w / ||w|| without touching w.  K is the largest power
+of two up to ``SAMPLE_BLOCK`` for which K steps cannot overflow ||w||,
+chosen from beta and the trace alone.  So a recorded state depends only on
+the chain's stream and the step, and with K = 1 every step is bit for bit
+the projected update of ``oja_step``.  Against ``oja_step`` replayed on the
+same stream it agrees within 1e-13 per coordinate.
+
+For the bounded stream it uses the closed form: each draw
 +/- sqrt(tr) e_i only scales coordinate i by 1 + beta tr, so the updates
 commute and the state after n steps is v_0 * (1 + beta tr)^c(n), normalised,
 where c(n) counts the draws of each axis (the discrete form of the logistic
@@ -36,6 +47,7 @@ norm within 1e-11) and raises ``FloatingPointError`` when one is not.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -62,6 +74,14 @@ __all__ = [
 # Sample streams are drawn in blocks of this size; a chain consuming its
 # stream stepwise or blockwise sees the exact same values.
 SAMPLE_BLOCK = 1024
+
+# The unprojected Gaussian chain keeps ||w|| below exp(_LOG_NORM_MAX) between
+# normalisations, so ||w||^2 stays finite.  A numpy float64 normal is at most
+# 13.71 in magnitude (its ziggurat tail is r - log(u) / r with r = 3.654 and
+# u >= 2^-53), so _Z2_MAX bounds every squared coordinate draw.  A draw past
+# it could only overflow w to inf, which the record check reports.
+_LOG_NORM_MAX = 345.0
+_Z2_MAX = 200.0
 
 # Default number of recorded states per trajectory (plus endpoints).
 _TARGET_RECORDS = 10_000
@@ -363,22 +383,56 @@ def record_steps(n_steps: int, stride: int) -> np.ndarray:
     return steps
 
 
+def _renorm_period(base: OjaConfig) -> int:
+    """Steps K between two normalisations of the unprojected Gaussian chain.
+
+    A step multiplies ||w|| by at most 1 + beta ||y||^2, and a Gaussian draw
+    has ||y||^2 <= _Z2_MAX tr, so K steps from a unit vector keep ||w|| below
+    exp(_LOG_NORM_MAX) and ||w||^2 finite.  K is the largest power of two up to
+    :data:`SAMPLE_BLOCK` that allows this, and 1 when even one step might not.
+    """
+    growth = math.log1p(base.beta * _Z2_MAX * base.spec.trace)
+    k = SAMPLE_BLOCK
+    while k > 1 and k * growth > _LOG_NORM_MAX:
+        k //= 2
+    return k
+
+
 def _step_loop(base: OjaConfig, rngs: list, v: np.ndarray):
-    """Advance by the projected update, one step at a time (any stream)."""
+    """Advance by the unprojected update w += beta (w.y) y, normalising every K steps.
+
+    The normalisation runs at the steps divisible by K (:func:`_renorm_period`)
+    and a record holds w / ||w||, so a recorded state depends only on the
+    chain's stream and the step, and with K = 1 each step is ``_project``.
+    """
     spec, beta = base.spec, base.beta
     draw = get_sampler(base.sampler)
+    k = _renorm_period(base)
     ys = np.empty((SAMPLE_BLOCK, len(rngs), spec.d))
+    w = v.copy()
+    s = np.empty(len(rngs))
+    s_col = s[:, None]
+    sy = np.empty_like(w)
 
     def advance(blk: int, offsets: np.ndarray, dest: np.ndarray) -> None:
-        nonlocal v
+        nonlocal w, s
         for i, rng in enumerate(rngs):
             ys[:blk, i] = draw(spec, rng, blk)
         j = 0
         for step, y in enumerate(ys[:blk], 1):
-            v = _project(v, y, beta)
-            if j < len(offsets) and offsets[j] == step:
-                dest[j] = v
-                j += 1
+            np.einsum("cd,cd->c", w, y, out=s)
+            s *= beta
+            np.multiply(s_col, y, out=sy)
+            w += sy
+            renorm = step % k == 0
+            record = j < len(offsets) and offsets[j] == step
+            if renorm or record:
+                unit = w / np.sqrt(np.einsum("cd,cd->c", w, w))[:, None]
+                if renorm:
+                    w = unit
+                if record:
+                    dest[j] = unit
+                    j += 1
 
     return advance
 
@@ -431,7 +485,8 @@ def _axis_counts(base: OjaConfig, rngs: list, v0: np.ndarray):
     return advance
 
 
-def _run_lockstep(base: OjaConfig, chains: range, rec_steps: np.ndarray) -> np.ndarray:
+def _run_lockstep(base: OjaConfig, chains: range, rec_steps: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """Run chains ``chains`` of ``base`` in lockstep: states (n_rec, n_chains, d).
 
     Chain i draws its init (when random) and then its samples from
@@ -441,11 +496,12 @@ def _run_lockstep(base: OjaConfig, chains: range, rec_steps: np.ndarray) -> np.n
     last of them.  The bounded stream advances in closed form, any other by
     the step loop.  After each block the states recorded in it must be finite
     unit vectors within 1e-11, else ``FloatingPointError`` (a runtime fault,
-    not a config error).
+    not a config error).  The states go into ``out`` when given.
     """
     rngs = [chain_rng(base.seed, i) for i in chains]
     v = np.array([resolve_init(base.spec, base.init, rng) for rng in rngs])
-    out = np.empty((len(rec_steps), len(rngs), base.spec.d))
+    if out is None:
+        out = np.empty((len(rec_steps), len(rngs), base.spec.d))
     advance = (_axis_counts if base.sampler == "bounded" else _step_loop)(base, rngs, v)
     pos = int(rec_steps[0] == 0)
     out[:pos] = v

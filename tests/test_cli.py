@@ -81,6 +81,23 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout == "[]\n"
 
 
+def test_cli_import_loads_no_process_pool():
+    """A CLI run with the default one worker is serial: a fresh import loads no pool module."""
+    env = dict(os.environ)
+    src = str(Path(oja_diffusion.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, oja_diffusion.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 def test_missing_config_is_exit_2(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -259,6 +276,8 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
             "n_chains": 1, "t_grid": [0.05]}, "n_chains"),
     ("mc", {"experiment": "finite_sample", "spec": [2.0, 1.0], "t_list": [100],
             "n_chains": 1}, "n_chains"),
+    ("mc", {"experiment": "ode_convergence", "spec": [2.0, 1.0], "beta": 1e-3,
+            "n_chains": 1, "t_grid": [0.5, 1.0]}, "n_chains"),
 ], ids=["ode-nan-t_grid", "ode-nan-grid-object", "mc-nan-t_grid", "sde-nan-u0",
         "sde-inf-t_end", "mc-short-t_list", "rates-nan-b", "rates-text-sigma_star2",
         "phases-nan-betas_for_cutoff", "mc-unknown-sampler", "mc-saddle-k-1",
@@ -266,7 +285,8 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
         "mc-bounded-sde_covariance", "mc-finite_sample-bounded-cap",
         "phases-trajectory-n_steps-abc", "phases-missing-trajectory_csv", "run-n_steps-abc",
         "run-n_steps-null", "sde-text-n_paths", "run-text-include_states",
-        "sde-nan-dt", "mc-sde_covariance-one-chain", "mc-finite_sample-one-chain"])
+        "sde-nan-dt", "mc-sde_covariance-one-chain", "mc-finite_sample-one-chain",
+        "mc-ode_convergence-one-chain"])
 def test_bad_input_is_exit_2_before_any_file(tmp_path, capsys, command, payload, field):
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "out"
@@ -490,6 +510,18 @@ def test_workers_do_not_change_mc_output(tmp_path):
     a = json.loads((out1 / "manifest.json").read_text())["outputs"]
     b = json.loads((out2 / "manifest.json").read_text())["outputs"]
     assert a == b
+
+
+@pytest.mark.parametrize("workers", ["0", "-5", "two"])
+def test_workers_below_one_is_exit_2_before_any_file(tmp_path, capsys, workers):
+    cfg = write_cfg(tmp_path, {"experiment": "ode_convergence", "spec": [2.0, 1.0],
+                               "beta": 1e-3, "n_chains": 4, "t_grid": [0.5]})
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--config", cfg, "--out", str(out), "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, payload, target", [

@@ -23,8 +23,9 @@ from oja_diffusion import (
     run_chain,
     run_ensemble_states,
     sample_bounded,
+    sample_gaussian,
 )
-from oja_diffusion.oja import SAMPLE_BLOCK, _run_lockstep, record_steps
+from oja_diffusion.oja import SAMPLE_BLOCK, _renorm_period, _run_lockstep, record_steps
 from oja_diffusion.spectrum import get_sampler
 
 INITS = ("uniform", "warm:0.3", "saddle:2", "near_saddle:1:0.01")
@@ -73,14 +74,14 @@ def bounded_runs(draw):
     return cfg, np.array(rec)
 
 
-def _step_loop_reference(cfg, chain, rec_steps):
-    """``oja_step`` on ``sample_bounded`` blocks from the chain's own stream."""
+def _step_loop_reference(cfg, chain, rec_steps, sample=sample_bounded):
+    """``oja_step`` on ``sample`` blocks from the chain's own stream."""
     rng = chain_rng(cfg.seed, chain)
     v = resolve_init(cfg.spec, cfg.init, rng)
     out = [v] if rec_steps[0] == 0 else []
     step = 0
     while step < rec_steps[-1]:
-        for y in sample_bounded(cfg.spec, rng, min(SAMPLE_BLOCK, rec_steps[-1] - step)):
+        for y in sample(cfg.spec, rng, min(SAMPLE_BLOCK, rec_steps[-1] - step)):
             v = oja_step(v, y, cfg.beta)
             step += 1
             if step in rec_steps:
@@ -99,6 +100,58 @@ def test_bounded_closed_form_matches_step_loop(run):
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
         assert np.all(got[ref == 0.0] == 0.0)
         assert np.all(np.abs(np.linalg.norm(got, axis=-1) - 1.0) <= 1e-12)
+
+
+@st.composite
+def gaussian_runs(draw):
+    """d in 2..50, a stepsize up to 1/(3 tr), up to three blocks and random records."""
+    d = draw(st.integers(2, 50))
+    tail = sorted(draw(st.lists(st.floats(0.01, 5.0), min_size=d - 1, max_size=d - 1)),
+                  reverse=True)
+    spec = make_spectrum([tail[0] + draw(st.floats(0.01, 5.0))] + tail)
+    beta = draw(st.floats(1e-4, 1.0)) / (3.0 * spec.trace)
+    n_steps = draw(st.integers(1, 3 * SAMPLE_BLOCK))
+    rec = sorted(draw(st.lists(st.integers(0, n_steps), min_size=1, max_size=12, unique=True)))
+    cfg = OjaConfig(spec=spec, beta=beta, n_steps=n_steps, init=draw(st.sampled_from(INITS)),
+                    seed=draw(st.integers(0, 2**64 - 1)), sampler="gaussian")
+    return cfg, np.array(rec)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(run=gaussian_runs())
+def test_deferred_normalisation_matches_projected_steps(run):
+    # The Gaussian kernel normalises only every K steps and at records; the
+    # projected step replayed on the same stream agrees within 1e-13.
+    cfg, rec_steps = run
+    states = run_ensemble_states(cfg, 2, rec_steps)
+    for chain in range(2):
+        got = states[:, chain]
+        ref = _step_loop_reference(cfg, chain, rec_steps, sample_gaussian)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
+        assert np.all(np.abs(np.linalg.norm(got, axis=-1) - 1.0) <= 1e-12)
+
+
+def test_renormalisation_period():
+    # K steps cannot overflow ||w||: the largest power of two up to a block
+    # that the stepsize allows, down to a projection every step.
+    spec = make_spectrum([2.0, 1.0, 0.5])
+    periods = [_renorm_period(OjaConfig(spec=spec, beta=beta, n_steps=1, sampler="gaussian"))
+               for beta in (1e-4, 0.05, 1e300)]
+    assert periods == [SAMPLE_BLOCK, 64, 1]
+
+
+@pytest.mark.parametrize("beta", [1e-4, 0.05])
+def test_gaussian_state_does_not_depend_on_the_records(beta):
+    # A record writes w / ||w|| and leaves w alone, and the normalisation runs
+    # on a schedule of step numbers, so the state at T is the same bits
+    # whichever other steps are recorded.
+    t = 2 * SAMPLE_BLOCK + 300
+    cfg = OjaConfig(spec=make_spectrum([2.0, 1.0, 0.5]), beta=beta, n_steps=t, init="uniform",
+                    seed=21, sampler="gaussian")
+    last = [run_ensemble_states(cfg, 3, np.array(rec))[-1]
+            for rec in ([t], [0, 37, t], range(t + 1))]
+    np.testing.assert_array_equal(last[1], last[0])
+    np.testing.assert_array_equal(last[2], last[0])
 
 
 @pytest.mark.parametrize("sampler", ["bounded", "gaussian"])

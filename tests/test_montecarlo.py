@@ -22,7 +22,7 @@ from oja_diffusion import (
     sde_covariance_experiment,
     stepsize_rule,
 )
-from oja_diffusion.montecarlo import Table, grid_to_steps
+from oja_diffusion.montecarlo import Table, _worker_count, grid_to_steps
 from oja_diffusion.oja import Trajectory, _sin2, record_steps
 from oja_diffusion.phases import detect_phases
 from oja_diffusion.spectrum import GAUSSIAN_SAMPLER_NOTE
@@ -59,6 +59,30 @@ def test_ensemble_worker_invariance():
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a, c)
     assert a.shape == (3, 9, 2)
+
+
+def test_worker_count_is_capped_by_cpus_and_chains():
+    # The cap is checked on the computed count: no pool is started here.
+    cpus = os.cpu_count() or 1
+    assert _worker_count(10**6, 10**9) == cpus
+    assert _worker_count(10**6, 6) == min(cpus, 3)
+    assert _worker_count(4, 3) == 1
+    assert _worker_count(1, 10**6) == 1
+
+
+@pytest.mark.parametrize("workers", [0, -5, 1.5, "2"])
+def test_ensemble_states_rejects_bad_worker_counts(workers):
+    base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=100, seed=1)
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        run_ensemble_states(base, 4, np.array([0, 50]), workers=workers)
+
+
+def test_worker_faults_reach_the_caller():
+    # The overflow is detected in the worker processes; its FloatingPointError
+    # is raised in the caller, as it is for a serial run.
+    cfg = OjaConfig(spec=SPEC2, beta=1e300, n_steps=50, init="warm:0.5", sampler="gaussian")
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="unit sphere"):
+        run_ensemble_states(cfg, 4, np.array([0, 25, 50]), workers=2)
 
 
 def test_ensemble_chain_zero_equals_run_chain():
@@ -243,6 +267,13 @@ def test_variance_experiments_need_two_chains():
         sde_covariance_experiment(EnsembleConfig(base=base, n_chains=1, t_grid=(0.05,)), 1)
     with pytest.raises(ValueError, match="2 chains"):
         finite_sample_experiment(SPEC2, [100], 1, seed=1)
+
+
+def test_ode_convergence_needs_two_chains():
+    # One chain has no standard error: se_v1sq would read 0, as if exact.
+    base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=1000, init="warm:0.75", seed=3)
+    with pytest.raises(ValueError, match="2 chains"):
+        ode_convergence_experiment(EnsembleConfig(base=base, n_chains=1, t_grid=(0.5, 1.0)))
 
 
 @pytest.mark.parametrize("sampler", ["bounded", "gaussian"])
