@@ -9,8 +9,9 @@ Subcommands: run, ode, sde, phases, mc, rates.  Each takes a JSON config via
    thresholds, grids, deterministic inits, an input trajectory, cutoff rows).
    A bad field is a ConfigError whose message names it; the exit code is 2
    and nothing has been written, not even the output directory.
-2. begin: manifest.json, naming the command, config, seed and tool version,
-   is written atomically.
+2. begin: manifest.json, naming the command, config, seed, tool version and
+   the requested workers with the processes the run uses, is written
+   atomically.
 3. run: the simulation.  The run step returns its result files as
    {file name: content}, where content is a Table (written as CSV), a JSON
    object or a text string.  Once the whole run has finished, one writer
@@ -58,6 +59,7 @@ from .montecarlo import (
     _ode_convergence_v0,
     _ou_at_start,
     _two_chains,
+    _worker_count,
     finite_sample_experiment,
     ode_convergence_experiment,
     phase_portrait_experiment,
@@ -222,7 +224,8 @@ def _sha256(path: str) -> str:
 class _Runner:
     """The manifest of one CLI invocation, and the writing of its files."""
 
-    def __init__(self, command: str, config_path: str, config: dict, out_dir: str, seed):
+    def __init__(self, command: str, config_path: str, config: dict, out_dir: str, seed,
+                 workers: int, processes: int):
         self.out_dir = out_dir
         self.manifest_path = os.path.join(out_dir, "manifest.json")
         self.started = time.monotonic()
@@ -233,6 +236,7 @@ class _Runner:
             "master_seed": seed,
             "output_dir": os.path.abspath(out_dir),
             "tool_version": __version__,
+            "workers": {"requested": workers, "processes": processes},
         }
 
     def begin(self) -> None:
@@ -262,7 +266,8 @@ def _gnuplot_stub(files: dict) -> str:
 
 
 # Each cmd_* is a subcommand's parse step.  It returns the run step, a function of no
-# arguments that returns the result files as {file name: content} in write order.
+# arguments that returns the result files as {file name: content} in write order,
+# and the number of processes the run will use for the requested workers.
 def cmd_run(cfg: dict, seed: int, workers: int):
     chain = _chain(cfg, _field(cfg, "spec", make_spectrum), seed)
     include_states = _field(cfg, "include_states", _typed(bool), True)
@@ -278,7 +283,7 @@ def cmd_run(cfg: dict, seed: int, workers: int):
             },
         }
 
-    return run
+    return run, 1
 
 
 def cmd_ode(cfg: dict, seed: int, workers: int):
@@ -296,7 +301,7 @@ def cmd_ode(cfg: dict, seed: int, workers: int):
         rows = [(t, *(logistic_solution(spec, v0, t) ** 2).tolist()) for t in grid.tolist()]
         return {"ode_curve.csv": Table(columns=cols, rows=rows), "summary.json": summary}
 
-    return run
+    return run, 1
 
 
 def cmd_sde(cfg: dict, seed: int, workers: int):
@@ -326,7 +331,7 @@ def cmd_sde(cfg: dict, seed: int, workers: int):
         files["ou_moments.csv"] = Table(columns=cols, rows=rows)
         return files
 
-    return run
+    return run, 1
 
 
 def cmd_phases(cfg: dict, seed: int, workers: int):
@@ -365,7 +370,7 @@ def cmd_phases(cfg: dict, seed: int, workers: int):
             files["cutoff.csv"] = cutoff
         return files
 
-    return run
+    return run, 1
 
 
 def cmd_mc(cfg: dict, seed: int, workers: int):
@@ -421,7 +426,7 @@ def cmd_mc(cfg: dict, seed: int, workers: int):
                                  "config": result.config_echo}
         return files
 
-    return run
+    return run, _worker_count(workers, n_chains)
 
 
 def cmd_rates(cfg: dict, seed: int, workers: int):
@@ -430,8 +435,8 @@ def cmd_rates(cfg: dict, seed: int, workers: int):
     report = _field(cfg, "t_samples",
                     lambda t: rate_report(spec, _real(t), b=b, sigma_star2=sigma_star2))
 
-    return lambda: {"rate_report.json": report.to_json_dict(),
-                    "rate_table.txt": report.to_text() + "\n"}
+    return (lambda: {"rate_report.json": report.to_json_dict(),
+                     "rate_table.txt": report.to_text() + "\n"}), 1
 
 
 _COMMANDS = {
@@ -555,8 +560,8 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         seed = _field(cfg if args.seed is None else {"seed": args.seed}, "seed",
                       lambda v: _check_seed(_count(v)), 0)
-        runner = _Runner(args.command, args.config, cfg, out_dir, seed)
-        run = parse(cfg, seed, args.workers)
+        run, processes = parse(cfg, seed, args.workers)
+        runner = _Runner(args.command, args.config, cfg, out_dir, seed, args.workers, processes)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -146,8 +146,11 @@ class EnsembleConfig:
 
 
 def _worker_count(workers: int, n_chains: int) -> int:
-    """Processes for an ensemble: the request, capped by the CPUs and at two chains each."""
-    return min(workers, os.cpu_count() or 1, n_chains // 2)
+    """Processes an ensemble runs in: the request, capped by the CPUs and at two
+    chains each, and 1 where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(workers, os.cpu_count() or 1, n_chains // 2))
 
 
 def run_ensemble_states(
@@ -168,7 +171,7 @@ def run_ensemble_states(
     if rec_steps[0] < 0 or rec_steps[-1] > base.n_steps:
         raise ValueError("record steps must lie within [0, n_steps]")
     workers = _worker_count(workers, n_chains)
-    if workers > 1 and hasattr(os, "fork"):
+    if workers > 1:
         return _run_forked(base, n_chains, rec_steps, workers)
     return _run_lockstep(base, range(n_chains), rec_steps)
 

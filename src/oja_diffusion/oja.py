@@ -31,9 +31,21 @@ w += beta (w.Y) Y in place, normalises w at every K-th step (counted from
 step 0), and records w / ||w|| without touching w.  K is the largest power
 of two up to ``SAMPLE_BLOCK`` for which K steps cannot overflow ||w||,
 chosen from beta and the trace alone.  So a recorded state depends only on
-the chain's stream and the step, and with K = 1 every step is bit for bit
-the projected update of ``oja_step``.  Against ``oja_step`` replayed on the
-same stream it agrees within 1e-13 per coordinate.
+the chain's stream and the step.
+
+The Gaussian kernel keeps the states coordinate-major, as (d, n_chains), and
+each sample block as (block, d, n_chains), so every numpy call of a step
+loops over the chains, not over the d coordinates of one chain.  A dot
+product w.Y and a squared norm are a fixed pairwise tree of elementwise adds
+over the coordinate rows, so a chain's bits never depend on how many chains
+share the array; an ``einsum`` or ``add.reduce`` over the coordinate axis
+would not give that, as numpy sums a lone chain's column in another order.
+At d = 2 the tree is w_1 Y_1 + w_2 Y_2, the order of a sequential sum, so
+the states are bit for bit those of a chain-major ``einsum`` kernel, and
+with K = 1 every step is bit for bit the projected update of ``oja_step``.
+At d >= 3 the order differs and states move by rounding only: against
+``oja_step`` replayed on the same stream they agree within 1e-13 per
+coordinate.
 
 For the bounded stream it uses the closed form: each draw
 +/- sqrt(tr) e_i only scales coordinate i by 1 + beta tr, so the updates
@@ -82,6 +94,10 @@ SAMPLE_BLOCK = 1024
 # it could only overflow w to inf, which the record check reports.
 _LOG_NORM_MAX = 345.0
 _Z2_MAX = 200.0
+
+# The Gaussian kernel draws the sample blocks of at most this many chains into
+# one tile before it scales them into its coordinate-major buffer.
+_DRAW_TILE = 64
 
 # Default number of recorded states per trajectory (plus endpoints).
 _TARGET_RECORDS = 10_000
@@ -398,41 +414,86 @@ def _renorm_period(base: OjaConfig) -> int:
     return k
 
 
+def _pairwise_folds(rows: np.ndarray) -> list:
+    """View pairs (a, b) over ``rows`` that sum its rows as a fixed pairwise tree.
+
+    ``np.add(a, b, out=a)`` over the pairs in order leaves the sum of the rows
+    in ``rows[0]``.  Every add is elementwise, so a column's sum never depends
+    on the other columns, and two rows sum as rows[0] + rows[1].
+    """
+    folds = []
+    m = len(rows)
+    while m > 1:
+        h = m // 2
+        folds.append((rows[:h], rows[m - h:m]))
+        m -= h
+    return folds
+
+
 def _step_loop(base: OjaConfig, rngs: list, v: np.ndarray):
-    """Advance by the unprojected update w += beta (w.y) y, normalising every K steps.
+    """Advance the Gaussian stream by w += beta (w.y) y, normalising every K steps.
 
     The normalisation runs at the steps divisible by K (:func:`_renorm_period`)
     and a record holds w / ||w||, so a recorded state depends only on the
-    chain's stream and the step, and with K = 1 each step is ``_project``.
+    chain's stream and the step.  States and samples are coordinate-major,
+    (d, n) and (block, d, n), and each dot product and squared norm is the
+    pairwise tree of :func:`_pairwise_folds` over the coordinate rows.
     """
-    spec, beta = base.spec, base.beta
-    draw = get_sampler(base.sampler)
+    # Positional outs: numpy takes about twice as long to parse out= on the
+    # few-element rows of a single chain.
+    mul, add, div, sqrt = np.multiply, np.add, np.divide, np.sqrt
     k = _renorm_period(base)
-    ys = np.empty((SAMPLE_BLOCK, len(rngs), spec.d))
-    w = v.copy()
-    s = np.empty(len(rngs))
-    s_col = s[:, None]
+    n, d = v.shape
+    root = base.spec._root_lambdas[:, None]
+    ys = np.empty((SAMPLE_BLOCK, d, n))
+    tile = np.empty((min(n, _DRAW_TILE), SAMPLE_BLOCK, d))
+    w = v.T.copy()
+    prod = np.empty_like(w)
+    folds = _pairwise_folds(prod)
+    s = prod[0]
     sy = np.empty_like(w)
+    # The scaling by beta and the square root run over the first two rows of
+    # prod, the second only scratch: numpy takes about twice as long over a
+    # one-element array, which is what s is for a single chain.
+    s2 = prod[:2]
+    beta = np.full(s2.shape, base.beta)
 
     def advance(blk: int, offsets: np.ndarray, dest: np.ndarray) -> None:
-        nonlocal w, s
-        for i, rng in enumerate(rngs):
-            ys[:blk, i] = draw(spec, rng, blk)
+        # Chain i draws its block as sample_gaussian does, into a row of the
+        # tile; one multiply per tile scales it and moves it to ys.
+        for lo in range(0, n, _DRAW_TILE):
+            chunk = rngs[lo:lo + _DRAW_TILE]
+            for i, rng in enumerate(chunk):
+                rng.standard_normal(out=tile[i, :blk])
+            np.multiply(tile[:len(chunk), :blk].transpose(1, 2, 0), root,
+                        out=ys[:blk, :, lo:lo + len(chunk)])
+        # A record keeps w as it is; all of them are divided by their norms
+        # after the block, through the same tree as in the loop.
+        rows = dest.transpose(0, 2, 1)
+        marks = offsets.tolist()
         j = 0
         for step, y in enumerate(ys[:blk], 1):
-            np.einsum("cd,cd->c", w, y, out=s)
-            s *= beta
-            np.multiply(s_col, y, out=sy)
-            w += sy
-            renorm = step % k == 0
-            record = j < len(offsets) and offsets[j] == step
-            if renorm or record:
-                unit = w / np.sqrt(np.einsum("cd,cd->c", w, w))[:, None]
-                if renorm:
-                    w = unit
-                if record:
-                    dest[j] = unit
-                    j += 1
+            mul(w, y, prod)
+            for a, b in folds:
+                add(a, b, a)
+            mul(s2, beta, s2)
+            mul(s, y, sy)
+            add(w, sy, w)
+            if j < len(marks) and marks[j] == step:
+                rows[j] = w
+                j += 1
+            if step % k == 0:
+                mul(w, w, prod)
+                for a, b in folds:
+                    add(a, b, a)
+                sqrt(s2, s2)
+                div(w, s, w)
+        if marks:
+            sq = mul(dest, dest)
+            for a, b in _pairwise_folds(np.moveaxis(sq, -1, 0)):
+                add(a, b, a)
+            norm = sqrt(sq[..., :1], sq[..., :1])
+            div(dest, norm, dest)
 
     return advance
 
@@ -493,10 +554,11 @@ def _run_lockstep(base: OjaConfig, chains: range, rec_steps: np.ndarray,
     ``chain_rng(base.seed, i)`` in blocks of :data:`SAMPLE_BLOCK`, so a chain's
     values never depend on which other chains share the run.  ``rec_steps``
     must be strictly increasing within [0, n_steps]; nothing is drawn past the
-    last of them.  The bounded stream advances in closed form, any other by
-    the step loop.  After each block the states recorded in it must be finite
-    unit vectors within 1e-11, else ``FloatingPointError`` (a runtime fault,
-    not a config error).  The states go into ``out`` when given.
+    last of them.  The bounded stream advances in closed form, the Gaussian
+    stream by the step loop.  After each block the states recorded in it must
+    be finite unit vectors within 1e-11, else ``FloatingPointError`` (a
+    runtime fault, not a config error).  The states go into ``out`` when
+    given.
     """
     rngs = [chain_rng(base.seed, i) for i in chains]
     v = np.array([resolve_init(base.spec, base.init, rng) for rng in rngs])

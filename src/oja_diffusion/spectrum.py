@@ -90,6 +90,13 @@ class EigenSpectrum:
         cdf.setflags(write=False)
         return cdf
 
+    @cached_property
+    def _root_lambdas(self) -> np.ndarray:
+        """Coordinate scales sqrt(lambda_i) of the Gaussian stream."""
+        root = np.sqrt(np.asarray(self.lambdas))
+        root.setflags(write=False)
+        return root
+
 
 def make_spectrum(lambdas: ArrayLike) -> EigenSpectrum:
     """Validate and freeze an eigenvalue sequence.
@@ -167,7 +174,8 @@ def sample_gaussian(
     norm bound, which outputs that use this sampler must flag.
     """
     n = _normalize_size(size)
-    y = rng.standard_normal((n, spec.d)) * np.sqrt(np.asarray(spec.lambdas))
+    y = rng.standard_normal((n, spec.d))
+    y *= spec._root_lambdas
     return y[0] if size is None else y
 
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import oja_diffusion
 from oja_diffusion import __version__, rate_bound_sin2, stepsize_rule
 from oja_diffusion.cli import main
+from oja_diffusion.montecarlo import _worker_count
 
 RUN_CFG = {"spec": [2.0, 1.0], "beta": 1e-3, "n_steps": 400, "seed": 7}
 
@@ -544,3 +545,25 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, capsys, command
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert "disk full" in capsys.readouterr().err
     assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("command, payload, workers, processes", [
+    ("run", RUN_CFG, 3, 1),
+    ("mc", {"experiment": "ode_convergence", "spec": [2.0, 1.0], "beta": 1e-3, "n_chains": 6,
+            "t_grid": [0.5]}, 2, _worker_count(2, 6)),
+    ("mc", {"experiment": "ode_convergence", "spec": [2.0, 1.0], "beta": 1e-3, "n_chains": 3,
+            "t_grid": [0.5]}, 4, 1),
+])
+def test_manifest_records_requested_workers_and_processes(tmp_path, command, payload, workers,
+                                                          processes):
+    # The manifest names the --workers asked for and the processes the run
+    # used; the result files are those of a one-worker run.
+    cfg = write_cfg(tmp_path, payload)
+    one, many = tmp_path / "one", tmp_path / "many"
+    assert main([command, "--config", cfg, "--out", str(one)]) == 0
+    assert main([command, "--config", cfg, "--out", str(many), "--workers", str(workers)]) == 0
+    a = json.loads((one / "manifest.json").read_text())
+    b = json.loads((many / "manifest.json").read_text())
+    assert a["workers"] == {"requested": 1, "processes": 1}
+    assert b["workers"] == {"requested": workers, "processes": processes}
+    assert b["outputs"] == a["outputs"]

@@ -1,6 +1,7 @@
 """The lockstep Oja kernel: one chain is an ensemble of one, and its checks hold under -O."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -152,6 +153,57 @@ def test_gaussian_state_does_not_depend_on_the_records(beta):
             for rec in ([t], [0, 37, t], range(t + 1))]
     np.testing.assert_array_equal(last[1], last[0])
     np.testing.assert_array_equal(last[2], last[0])
+
+
+@pytest.mark.parametrize("d", [3, 7, 50])
+def test_gaussian_kernel_does_not_depend_on_the_chain_count(d):
+    # Every numpy call of the Gaussian kernel is elementwise over the chains,
+    # so a chain gives the same bits alone, in a 65-chain run that crosses
+    # the 64-chain draw tile, and in either worker chunk.
+    spec = make_spectrum(np.r_[2.0, np.linspace(1.0, 0.1, d - 1)])
+    cfg = OjaConfig(spec=spec, beta=0.2 / spec.trace, n_steps=SAMPLE_BLOCK + 76, init="uniform",
+                    seed=d, sampler="gaussian", record_stride=100)
+    assert _renorm_period(cfg) == 64
+    steps = record_steps(cfg.n_steps, 100)
+    np.testing.assert_array_equal(run_chain(cfg).states,
+                                  run_ensemble_states(cfg, 3, steps)[:, 0])
+    alone = np.stack([_run_lockstep(cfg, range(i, i + 1), steps)[:, 0] for i in range(65)], axis=1)
+    for workers in (1, 2):
+        np.testing.assert_array_equal(run_ensemble_states(cfg, 65, steps, workers=workers), alone)
+
+
+@pytest.mark.parametrize("beta, period", [(1e-4, SAMPLE_BLOCK), (0.05, 64)])
+def test_d2_gaussian_kernel_is_a_scalar_replay(beta, period):
+    # At d=2 the kernel's arithmetic is this scalar loop, bit for bit:
+    # s = beta (w0 y0 + w1 y1), w += s y, and w / ||w|| at the multiples of K
+    # (where it replaces w) and at the records.
+    spec = make_spectrum([1.0, 0.5])
+    cfg = OjaConfig(spec=spec, beta=beta, n_steps=2 * SAMPLE_BLOCK + 300, init="uniform",
+                    seed=17, sampler="gaussian")
+    assert _renorm_period(cfg) == period
+    rec = [0, 1, 63, 64, 65, 1000, SAMPLE_BLOCK, 2 * SAMPLE_BLOCK + 1, cfg.n_steps]
+    states = run_ensemble_states(cfg, 2, np.array(rec))
+    roots = [math.sqrt(lam) for lam in spec.lambdas]
+    for chain in range(2):
+        rng = chain_rng(cfg.seed, chain)
+        w0, w1 = resolve_init(spec, cfg.init, rng).tolist()
+        replay = [(w0, w1)]
+        step = 0
+        while step < cfg.n_steps:
+            for z0, z1 in rng.standard_normal((min(SAMPLE_BLOCK, cfg.n_steps - step), 2)).tolist():
+                y0, y1 = z0 * roots[0], z1 * roots[1]
+                s = (w0 * y0 + w1 * y1) * beta
+                w0 += s * y0
+                w1 += s * y1
+                step += 1
+                if step in rec or step % period == 0:
+                    norm = math.sqrt(w0 * w0 + w1 * w1)
+                    unit = (w0 / norm, w1 / norm)
+                    if step in rec:
+                        replay.append(unit)
+                    if step % period == 0:
+                        w0, w1 = unit
+        np.testing.assert_array_equal(states[:, chain], np.array(replay))
 
 
 @pytest.mark.parametrize("sampler", ["bounded", "gaussian"])
