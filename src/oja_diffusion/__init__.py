@@ -9,19 +9,32 @@ from a saddle start to the stationary fluctuation level.  This package
 implements the iteration, the closed-form limits, the phase and rate
 formulas, and Monte Carlo experiments that check each limit against
 simulated ensembles.
+
+The package re-exports the public API (each module's ``__all__``) of its six
+library modules: spectrum, oja, ode, sde, phases and montecarlo.  Importing
+the package loads none of them, nor numpy: a submodule, or a re-exported
+name, is imported on first access (PEP 562), so ``oja_diffusion.cli`` can
+answer ``--version`` and ``--help`` without the library.
 """
 
-from . import montecarlo, ode, oja, phases, sde, spectrum
-from .spectrum import *
-from .oja import *
-from .ode import *
-from .sde import *
-from .phases import *
-from .montecarlo import *
+import importlib
 
 __version__ = "0.1.0"
 
-# Each module's __all__ is its public API; the package re-exports all of them.
-__all__ = ["__version__"] + [
-    name for module in (spectrum, oja, ode, sde, phases, montecarlo) for name in module.__all__
-]
+_MODULES = ("spectrum", "oja", "ode", "sde", "phases", "montecarlo")
+
+
+def __getattr__(name: str):
+    """A submodule, ``__all__``, or a name from a submodule's ``__all__``, imported on first use."""
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    modules = map(__getattr__, _MODULES)
+    if name == "__all__":
+        value = ["__version__"] + [n for module in modules for n in module.__all__]
+    else:
+        module = next((m for m in modules if name in m.__all__), None)
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(module, name)
+    globals()[name] = value
+    return value

@@ -2,22 +2,27 @@
 
 Subcommands: run, ode, sde, phases, mc, rates.  Each takes a JSON config via
 --config and writes results to --out (default from OJA_DIFFUSION_OUT, then
-./out).  :func:`main` runs every invocation in the same three steps:
+./out).  :func:`main` runs every invocation in the same steps:
 
-1. parse: the subcommand reads every config field and builds every library
-   object its run needs (spectrum, chain and ensemble configs, OU block,
-   thresholds, grids, deterministic inits, an input trajectory, cutoff rows).
-   A bad field is a ConfigError whose message names it; the exit code is 2
-   and nothing has been written, not even the output directory.
-2. begin: manifest.json, naming the command, config, seed, tool version and
-   the requested workers with the processes the run uses, is written
-   atomically.
-3. run: the simulation.  The run step returns its result files as
+1. parse argv.  This module imports only the standard library, so
+   --version, --help and a usage error exit before numpy or any library
+   module is loaded.
+2. import and parse the config: the subcommand imports the library names
+   it uses (``run``, ``ode`` and ``sde`` never load montecarlo or phases),
+   reads every config field and builds every library object its run needs
+   (spectrum, chain and ensemble configs, OU block, thresholds, grids,
+   deterministic inits, an input trajectory, cutoff rows).  A bad field is a
+   ConfigError whose message names it; the exit code is 2 and nothing has
+   been written, not even the output directory.
+3. begin: manifest.json, naming the command, config, seed, tool version, the
+   requested workers with the processes the run uses, and the time the
+   first two steps took, is written atomically.
+4. run: the simulation.  The run step returns its result files as
    {file name: content}, where content is a Table (written as CSV), a JSON
    object or a text string.  Once the whole run has finished, one writer
-   writes them in that order, then the manifest again with their wall time
-   and hashes.  Any exception here is a runtime error and exits 1; a run
-   that fails leaves only manifest.json.
+   writes them in that order, then the manifest again with their wall time,
+   the time of each stage and their hashes.  Any exception here is a runtime
+   error and exits 1; a run that fails leaves only manifest.json.
 
 Every file goes through one temp-then-rename writer, so an interrupted or
 failed write leaves neither a partial file nor a stray temp file.
@@ -29,44 +34,14 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
 import time
 from functools import partial
 
-import numpy as np
-
 from . import __version__
-from .oja import (OjaConfig, Table, _config_echo, _parse_preset, resolve_init, run_chain,
-                  trajectory_from_csv)
-from .ode import logistic_solution, ode_crossing_time
-from .phases import (
-    CrossingReport,
-    EmpiricalCrossings,
-    PhaseThresholds,
-    _saddle_index,
-    crossing_report,
-    cutoff_ratios,
-    predict_crossings,
-    rate_report,
-)
-from .montecarlo import (
-    EnsembleConfig,
-    _check_t_list,
-    _finite_sample_bases,
-    _gaussian_only,
-    _ode_convergence_v0,
-    _ou_at_start,
-    _two_chains,
-    _worker_count,
-    finite_sample_experiment,
-    ode_convergence_experiment,
-    phase_portrait_experiment,
-    sde_covariance_experiment,
-)
-from .sde import OuSpec, _as_u0, _check_dt, ou_mean_cov, ou_ensemble_moments, simulate_ou
-from .spectrum import _check_seed, chain_rng, get_sampler, make_spectrum
 
 ENV_OUT = "OJA_DIFFUSION_OUT"
 _EXPERIMENTS = ("ode_convergence", "sde_covariance", "finite_sample", "phase_portrait")
@@ -108,13 +83,13 @@ def _real(v) -> float:
 
 
 def _positive(v) -> float:
-    if not 0.0 < _real(v) < np.inf:
+    if not 0.0 < _real(v) < math.inf:
         raise ValueError(f"must be a finite positive number, got {v!r}")
     return float(v)
 
 
 def _time(v) -> float:
-    if not 0.0 <= _real(v) < np.inf:
+    if not 0.0 <= _real(v) < math.inf:
         raise ValueError(f"must be a finite nonnegative number, got {v!r}")
     return float(v)
 
@@ -139,6 +114,8 @@ def _optional(convert):
 
 
 def _sampler(name) -> str:
+    from .spectrum import get_sampler
+
     get_sampler(name)
     return name
 
@@ -148,6 +125,8 @@ def _init(spec, init):
 
     No generator is made: a run that draws nothing never imports numpy.random.
     """
+    from .oja import _parse_preset, resolve_init
+
     if isinstance(init, str):
         _parse_preset(spec, init)
     else:
@@ -157,6 +136,8 @@ def _init(spec, init):
 
 def _grid(val) -> np.ndarray:
     """A list of times or a {"start", "stop", "num"} object, as finite nonnegative floats."""
+    import numpy as np
+
     if isinstance(val, dict) and val.keys() >= {"start", "stop", "num"}:
         grid = np.linspace(_time(val["start"]), _time(val["stop"]), _count(val["num"]))
     elif isinstance(val, list):
@@ -170,6 +151,8 @@ def _grid(val) -> np.ndarray:
 
 def _chain(cfg: dict, spec, seed: int, init="uniform", sampler="bounded", steps_for=None):
     """The chain's OjaConfig; ``steps_for(beta)``, when given, is the default n_steps."""
+    from .oja import OjaConfig
+
     beta = _field(cfg, "beta", _positive)
     n_steps = _field(cfg, "n_steps", _count, _REQUIRED if steps_for is None else steps_for(beta))
     sampler = _field(cfg, "sampler", _sampler, sampler)
@@ -200,11 +183,11 @@ def _atomic_write(path: str, write) -> None:
 
 
 def _write(path: str, content) -> None:
-    """Write one file atomically: a Table as CSV, a JSON object sorted and indented, a str as is."""
-    if isinstance(content, Table):
-        return _atomic_write(path, content.to_csv)
-    if not isinstance(content, str):
+    """Write one file atomically: a JSON object sorted and indented, a str as is, a Table as CSV."""
+    if isinstance(content, dict):
         content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+    if not isinstance(content, str):
+        return _atomic_write(path, content.to_csv)
 
     def write(tmp):
         with open(tmp, "w") as fh:
@@ -222,10 +205,17 @@ def _sha256(path: str) -> str:
 
 
 class _Runner:
-    """The manifest of one CLI invocation, and the writing of its files."""
+    """The manifest of one CLI invocation, and the writing of its files.
+
+    It is made when the parse step, which began at the monotonic time
+    ``parse_started``, has returned.  The manifest's ``stages`` split the
+    invocation's time: ``parse_s`` from ``main`` being called to here, the
+    library import included; ``run_s`` for ``begin`` and the run step;
+    ``write_s`` for the result files.  ``wall_time_s`` is ``run_s + write_s``.
+    """
 
     def __init__(self, command: str, config_path: str, config: dict, out_dir: str, seed,
-                 workers: int, processes: int):
+                 workers: int, processes: int, parse_started: float):
         self.out_dir = out_dir
         self.manifest_path = os.path.join(out_dir, "manifest.json")
         self.started = time.monotonic()
@@ -237,6 +227,7 @@ class _Runner:
             "output_dir": os.path.abspath(out_dir),
             "tool_version": __version__,
             "workers": {"requested": workers, "processes": processes},
+            "stages": {"parse_s": round(self.started - parse_started, 6)},
         }
 
     def begin(self) -> None:
@@ -246,9 +237,13 @@ class _Runner:
     def finish(self, files: dict) -> None:
         """Write every result file in order, then the manifest with their hashes."""
         paths = {name: os.path.join(self.out_dir, name) for name in files}
+        ran = time.monotonic()
         for name, content in files.items():
             _write(paths[name], content)
-        self.manifest["wall_time_s"] = round(time.monotonic() - self.started, 6)
+        written = time.monotonic()
+        self.manifest["stages"].update(run_s=round(ran - self.started, 6),
+                                       write_s=round(written - ran, 6))
+        self.manifest["wall_time_s"] = round(written - self.started, 6)
         self.manifest["outputs"] = {name: _sha256(path) for name, path in paths.items()}
         _write(self.manifest_path, self.manifest)
 
@@ -265,10 +260,14 @@ def _gnuplot_stub(files: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Each cmd_* is a subcommand's parse step.  It returns the run step, a function of no
-# arguments that returns the result files as {file name: content} in write order,
-# and the number of processes the run will use for the requested workers.
+# Each cmd_* is a subcommand's parse step.  It imports the library names it uses, and
+# returns the run step, a function of no arguments that returns the result files as
+# {file name: content} in write order, and the number of processes the run will use
+# for the requested workers.
 def cmd_run(cfg: dict, seed: int, workers: int):
+    from .oja import run_chain
+    from .spectrum import make_spectrum
+
     chain = _chain(cfg, _field(cfg, "spec", make_spectrum), seed)
     include_states = _field(cfg, "include_states", _typed(bool), True)
 
@@ -287,6 +286,10 @@ def cmd_run(cfg: dict, seed: int, workers: int):
 
 
 def cmd_ode(cfg: dict, seed: int, workers: int):
+    from .ode import logistic_solution, ode_crossing_time
+    from .oja import Table, resolve_init
+    from .spectrum import chain_rng, make_spectrum
+
     spec = _field(cfg, "spec", make_spectrum)
     v0 = _field(cfg, "v0", lambda v: resolve_init(spec, v, chain_rng(seed, 0)))
     grid = _field(cfg, "t_grid", _grid)
@@ -305,6 +308,10 @@ def cmd_ode(cfg: dict, seed: int, workers: int):
 
 
 def cmd_sde(cfg: dict, seed: int, workers: int):
+    from .oja import Table
+    from .sde import OuSpec, _as_u0, _check_dt, ou_ensemble_moments, ou_mean_cov, simulate_ou
+    from .spectrum import make_spectrum
+
     spec = _field(cfg, "spec", make_spectrum)
     ou = _field(cfg, "k", lambda v: OuSpec(spec=spec, k=_count(v)), 1)
     t_end = _field(cfg, "t_end", _time)
@@ -335,6 +342,11 @@ def cmd_sde(cfg: dict, seed: int, workers: int):
 
 
 def cmd_phases(cfg: dict, seed: int, workers: int):
+    from .oja import Table, _config_echo, trajectory_from_csv
+    from .phases import (CrossingReport, EmpiricalCrossings, PhaseThresholds, crossing_report,
+                         cutoff_ratios, predict_crossings)
+    from .spectrum import make_spectrum
+
     spec = _field(cfg, "spec", make_spectrum)
     beta = _field(cfg, "beta", _positive)
     thresholds = _field(cfg, "delta", lambda v: PhaseThresholds(delta=_real(v)))
@@ -374,6 +386,16 @@ def cmd_phases(cfg: dict, seed: int, workers: int):
 
 
 def cmd_mc(cfg: dict, seed: int, workers: int):
+    import numpy as np
+
+    from .montecarlo import (EnsembleConfig, _check_t_list, _finite_sample_bases, _gaussian_only,
+                             _ode_convergence_v0, _ou_at_start, _two_chains, _worker_count,
+                             finite_sample_experiment, ode_convergence_experiment,
+                             phase_portrait_experiment, sde_covariance_experiment)
+    from .phases import PhaseThresholds, _saddle_index
+    from .sde import OuSpec
+    from .spectrum import make_spectrum
+
     experiment = _field(cfg, "experiment")
     if experiment not in _EXPERIMENTS:
         raise ConfigError(
@@ -430,6 +452,9 @@ def cmd_mc(cfg: dict, seed: int, workers: int):
 
 
 def cmd_rates(cfg: dict, seed: int, workers: int):
+    from .phases import rate_report
+    from .spectrum import make_spectrum
+
     spec = _field(cfg, "spec", make_spectrum)
     b, sigma_star2 = (_field(cfg, key, _optional(_positive), None) for key in ("b", "sigma_star2"))
     report = _field(cfg, "t_samples",
@@ -553,15 +578,19 @@ def _load_config(path: str) -> dict:
 
 
 def main(argv=None) -> int:
+    started = time.monotonic()
     args = _build_parser().parse_args(argv)
     out_dir = args.out if args.out is not None else os.environ.get(ENV_OUT, "out")
     parse = _COMMANDS[args.command][0]
+    from .spectrum import _check_seed
+
     try:
         cfg = _load_config(args.config)
         seed = _field(cfg if args.seed is None else {"seed": args.seed}, "seed",
                       lambda v: _check_seed(_count(v)), 0)
         run, processes = parse(cfg, seed, args.workers)
-        runner = _Runner(args.command, args.config, cfg, out_dir, seed, args.workers, processes)
+        runner = _Runner(args.command, args.config, cfg, out_dir, seed, args.workers, processes,
+                         started)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

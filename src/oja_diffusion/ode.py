@@ -21,6 +21,8 @@ eigenvalues.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .spectrum import EigenSpectrum
@@ -53,17 +55,16 @@ def logistic_solution(spec: EigenSpectrum, v0: np.ndarray, t: float) -> np.ndarr
     toward zero and the normalizing sum keeps a Theta(1) leading term.
     """
     v0 = np.asarray(v0, dtype=float)
-    lam = np.asarray(spec.lambdas)
     support = v0 != 0.0
-    if not np.any(support):
+    if not support.any():
         raise ValueError("initial vector must be nonzero")
     # Exponents are taken relative to the largest eigenvalue actually present
     # in v0 and only on its support: off-support coordinates stay zero instead
     # of multiplying an overflowing exponential by zero.
-    m = float(np.max(lam[support]))
+    lam = spec.lambdas[support]
     w = np.zeros_like(v0)
-    w[support] = v0[support] * np.exp((lam[support] - m) * t)
-    return w / np.linalg.norm(w)
+    w[support] = v0[support] * np.exp((lam - float(lam.max())) * t)
+    return w / math.sqrt(w @ w)
 
 
 def integrate_rk4(spec: EigenSpectrum, v0: np.ndarray, t_end: float, dt: float) -> np.ndarray:
@@ -81,6 +82,11 @@ def integrate_rk4(spec: EigenSpectrum, v0: np.ndarray, t_end: float, dt: float) 
         )
     if t_end < 0.0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
+    lam = spec.lambdas
+
+    def rhs(x):  # ode_rhs with lambda hoisted out of the step loop
+        return (lam - float(x @ (lam * x))) * x
+
     v = np.asarray(v0, dtype=float).copy()
     n_full = int(np.floor(t_end / dt + 1e-12))
     rem = t_end - n_full * dt
@@ -88,12 +94,12 @@ def integrate_rk4(spec: EigenSpectrum, v0: np.ndarray, t_end: float, dt: float) 
     if rem > 1e-12 * max(1.0, t_end):
         hs.append(rem)
     for h in hs:
-        k1 = ode_rhs(spec, v)
-        k2 = ode_rhs(spec, v + 0.5 * h * k1)
-        k3 = ode_rhs(spec, v + 0.5 * h * k2)
-        k4 = ode_rhs(spec, v + h * k3)
+        k1 = rhs(v)
+        k2 = rhs(v + 0.5 * h * k1)
+        k3 = rhs(v + 0.5 * h * k2)
+        k4 = rhs(v + h * k3)
         v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        nrm = float(np.linalg.norm(v))
+        nrm = math.sqrt(v @ v)
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(
                 f"renormalization correction {abs(nrm - 1.0):.3e} exceeds 1e-10; "

@@ -241,8 +241,8 @@ _MIN_T = math.e  # the rule needs log T >= 1 to be a usable stepsize
 
 def _check_t_samples(t_samples) -> float:
     t = float(t_samples)
-    if not (t >= _MIN_T and np.isfinite(t)):
-        raise ValueError(f"t_samples must be at least e ~ 2.718, got {t_samples}")
+    if not _MIN_T <= t < math.inf:
+        raise ValueError(f"t_samples must be a finite number >= e ~ 2.718, got {t_samples}")
     return t
 
 

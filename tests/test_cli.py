@@ -99,6 +99,63 @@ def test_cli_import_loads_no_process_pool():
     assert out.stdout == "[]\n"
 
 
+def _fresh_modules(code):
+    """Exit code, and the numpy and oja_diffusion modules loaded, of ``code`` in a fresh interpreter.
+
+    The module list is printed at exit, so it also covers a ``sys.exit``
+    from argparse.
+    """
+    env = dict(os.environ)
+    src = str(Path(oja_diffusion.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import atexit, json, sys; atexit.register(lambda: print(json.dumps(sorted("
+        "m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'oja_diffusion'))))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe + code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    return out.returncode, set(json.loads(out.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0), (["--help"], 0), (["run", "--help"], 0), (["bogus"], 2),
+], ids=["version", "help", "run-help", "unknown-subcommand"])
+def test_version_help_and_usage_errors_load_no_library(argv, code):
+    rc, loaded = _fresh_modules(f"from oja_diffusion.cli import main; main({argv!r})")
+    assert rc == code
+    assert loaded == {"oja_diffusion", "oja_diffusion.cli"}
+
+
+def test_run_loads_only_its_own_modules(tmp_path):
+    cfg = write_cfg(tmp_path, RUN_CFG)
+    argv = ["run", "--config", cfg, "--out", str(tmp_path / "out")]
+    rc, loaded = _fresh_modules(f"from oja_diffusion.cli import main; main({argv!r})")
+    assert rc == 0
+    assert "numpy" in loaded
+    assert not loaded & {f"oja_diffusion.{m}" for m in ("montecarlo", "phases", "sde")}
+
+
+def test_package_import_loads_no_submodule():
+    rc, loaded = _fresh_modules("import oja_diffusion")
+    assert rc == 0
+    assert loaded == {"oja_diffusion"}
+
+
+def test_package_reexports_every_module_api():
+    from oja_diffusion import montecarlo, ode, oja, phases, sde, spectrum
+
+    modules = (spectrum, oja, ode, sde, phases, montecarlo)
+    assert set(oja_diffusion.__all__) == {"__version__"}.union(*(m.__all__ for m in modules))
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(oja_diffusion, name) is getattr(module, name), name
+    star = {}
+    exec("from oja_diffusion import *", star)
+    assert set(star) - {"__builtins__"} == set(oja_diffusion.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        oja_diffusion.no_such_name
+
+
 def test_missing_config_is_exit_2(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -370,6 +427,26 @@ def test_manifest_config_and_seed_rerun_the_same_outputs(tmp_path, command, payl
                  "--seed", str(manifest["master_seed"])]) == 0
     rerun = json.loads((again / "manifest.json").read_text())
     assert rerun["outputs"] == manifest["outputs"]
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("run", RUN_CFG),
+    ("rates", {"spec": [2.0, 1.0], "t_samples": 1e5}),
+])
+def test_manifest_records_stage_times(tmp_path, command, payload):
+    cfg = write_cfg(tmp_path, payload)
+    manifests = []
+    for out in (tmp_path / "one", tmp_path / "two"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    for manifest in manifests:
+        stages = manifest["stages"]
+        assert set(stages) == {"parse_s", "run_s", "write_s"}
+        assert all(math.isfinite(v) and v >= 0.0 for v in stages.values()), stages
+        # wall_time_s spans the run and write stages
+        assert manifest["wall_time_s"] == pytest.approx(stages["run_s"] + stages["write_s"],
+                                                        abs=2e-6)
+    assert manifests[0]["outputs"] == manifests[1]["outputs"]
 
 
 @pytest.mark.parametrize("text", [

@@ -130,6 +130,56 @@ def test_rk4_validation():
         integrate_rk4(SPEC2, v0, -1.0, 1e-3)
 
 
+def _logistic_reference(spec, v0, t):
+    # logistic_solution as first written: np.max and np.linalg.norm
+    v0 = np.asarray(v0, dtype=float)
+    lam = np.asarray(spec.lambdas)
+    support = v0 != 0.0
+    m = float(np.max(lam[support]))
+    w = np.zeros_like(v0)
+    w[support] = v0[support] * np.exp((lam[support] - m) * t)
+    return w / np.linalg.norm(w)
+
+
+def _rk4_reference(spec, v0, t_end, dt):
+    # integrate_rk4 as first written: ode_rhs per stage, np.linalg.norm per step
+    v = np.asarray(v0, dtype=float).copy()
+    n_full = int(np.floor(t_end / dt + 1e-12))
+    rem = t_end - n_full * dt
+    hs = [dt] * n_full + ([rem] if rem > 1e-12 * max(1.0, t_end) else [])
+    for h in hs:
+        k1 = ode_rhs(spec, v)
+        k2 = ode_rhs(spec, v + 0.5 * h * k1)
+        k3 = ode_rhs(spec, v + 0.5 * h * k2)
+        k4 = ode_rhs(spec, v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v /= float(np.linalg.norm(v))
+    return v
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 50])
+def test_flow_solvers_are_bit_identical_to_the_reference_formulas(d):
+    rng = chain_rng(34, d)
+    lam = np.sort(rng.uniform(0.1, 3.0, d))[::-1]
+    lam[0] += 0.5
+    sp = make_spectrum(lam)
+    for i in range(12):
+        v0 = rng.standard_normal(d)
+        v0[rng.random(d) < (0.0, 0.5, 0.3)[i % 3]] = 0.0  # starts with zero coordinates
+        if i % 3 == 2:
+            v0[0] = 0.0  # equator start
+        if not v0.any():
+            v0[-1] = 1.0
+        v0 /= np.linalg.norm(v0)
+        for t in (0.0, 0.37, 5.0, 81.0, 500.0):
+            np.testing.assert_array_equal(logistic_solution(sp, v0, t),
+                                          _logistic_reference(sp, v0, t))
+        if i < 3:
+            dt = 1e-2 / lam[0]
+            np.testing.assert_array_equal(integrate_rk4(sp, v0, 1.23, dt),
+                                          _rk4_reference(sp, v0, 1.23, dt))
+
+
 def test_crossing_time_closed_form():
     # d = 2 admits the explicit answer t = log((1-delta)(1-a)/(delta a))/(2 gap)
     # with a = v1(0)^2; the bisection must reproduce it.

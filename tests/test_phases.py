@@ -150,6 +150,14 @@ def test_stepsize_rule():
         stepsize_rule(SPEC2, 2.5)
 
 
+@pytest.mark.parametrize("t_samples", [math.inf, math.nan, 2.5])
+@pytest.mark.parametrize("formula", [stepsize_rule, rate_bound_sin2, rate_bound_rayleigh])
+def test_t_samples_must_be_finite_and_at_least_e(formula, t_samples):
+    # an infinite horizon is refused for being infinite, not for being too small
+    with pytest.raises(ValueError, match="finite number >= e"):
+        formula(SPEC2, t_samples)
+
+
 def test_rate_bound_identity():
     # the sin^2 bound is exactly the stationary level at the tuned stepsize
     for lambdas in ([2.0, 1.0], [2.0, 1.0, 1.0], [3.0, 2.0, 1.0, 0.5]):
