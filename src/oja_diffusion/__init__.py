@@ -14,7 +14,8 @@ The package re-exports the public API (each module's ``__all__``) of its six
 library modules: spectrum, oja, ode, sde, phases and montecarlo.  Importing
 the package loads none of them, nor numpy: a submodule, or a re-exported
 name, is imported on first access (PEP 562), so ``oja_diffusion.cli`` can
-answer ``--version`` and ``--help`` without the library.
+answer ``--version`` and ``--help`` without the library.  ``dir()`` lists
+every name, which imports the six modules.
 """
 
 import importlib
@@ -38,3 +39,8 @@ def __getattr__(name: str):
         value = getattr(module, name)
     globals()[name] = value
     return value
+
+
+def __dir__():
+    """The package namespace with every submodule and re-exported name, loaded or not."""
+    return sorted({*globals(), *_MODULES, *__getattr__("__all__")})

@@ -134,8 +134,8 @@ def _init(spec, init):
     return init
 
 
-def _grid(val) -> np.ndarray:
-    """A list of times or a {"start", "stop", "num"} object, as finite nonnegative floats."""
+def _grid(val):
+    """A list of times or a {"start", "stop", "num"} object, as an array of finite nonnegative floats."""
     import numpy as np
 
     if isinstance(val, dict) and val.keys() >= {"start", "stop", "num"}:

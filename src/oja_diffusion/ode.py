@@ -82,11 +82,6 @@ def integrate_rk4(spec: EigenSpectrum, v0: np.ndarray, t_end: float, dt: float) 
         )
     if t_end < 0.0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
-    lam = spec.lambdas
-
-    def rhs(x):  # ode_rhs with lambda hoisted out of the step loop
-        return (lam - float(x @ (lam * x))) * x
-
     v = np.asarray(v0, dtype=float).copy()
     n_full = int(np.floor(t_end / dt + 1e-12))
     rem = t_end - n_full * dt
@@ -94,10 +89,10 @@ def integrate_rk4(spec: EigenSpectrum, v0: np.ndarray, t_end: float, dt: float) 
     if rem > 1e-12 * max(1.0, t_end):
         hs.append(rem)
     for h in hs:
-        k1 = rhs(v)
-        k2 = rhs(v + 0.5 * h * k1)
-        k3 = rhs(v + 0.5 * h * k2)
-        k4 = rhs(v + h * k3)
+        k1 = ode_rhs(spec, v)
+        k2 = ode_rhs(spec, v + 0.5 * h * k1)
+        k3 = ode_rhs(spec, v + 0.5 * h * k2)
+        k4 = ode_rhs(spec, v + h * k3)
         v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         nrm = math.sqrt(v @ v)
         if abs(nrm - 1.0) > 1e-10:

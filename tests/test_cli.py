@@ -141,6 +141,14 @@ def test_package_import_loads_no_submodule():
     assert loaded == {"oja_diffusion"}
 
 
+def test_package_dir_lists_names_before_first_use():
+    rc, _ = _fresh_modules(
+        "import sys, oja_diffusion as p; names = set(dir(p)); "
+        "sys.exit(0 if names >= {*p.__all__, *p._MODULES} else 3)"
+    )
+    assert rc == 0
+
+
 def test_package_reexports_every_module_api():
     from oja_diffusion import montecarlo, ode, oja, phases, sde, spectrum
 
