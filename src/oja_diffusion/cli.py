@@ -11,9 +11,9 @@ Subcommands: run, ode, sde, phases, mc, rates.  Each takes a JSON config via
    it uses (``run``, ``ode`` and ``sde`` never load montecarlo or phases),
    reads every config field and builds every library object its run needs
    (spectrum, chain and ensemble configs, OU block, thresholds, grids,
-   deterministic inits, an input trajectory, cutoff rows).  A bad field is a
-   ConfigError whose message names it; the exit code is 2 and nothing has
-   been written, not even the output directory.
+   deterministic inits, an input trajectory, the cutoff table).  A bad field
+   is a ConfigError whose message names it; the exit code is 2 and nothing
+   has been written, not even the output directory.
 3. begin: manifest.json, naming the command, config, seed, tool version, the
    requested workers with the processes the run uses, and the time the
    first two steps took, is written atomically.
@@ -286,6 +286,8 @@ def cmd_run(cfg: dict, seed: int, workers: int):
 
 
 def cmd_ode(cfg: dict, seed: int, workers: int):
+    import numpy as np
+
     from .ode import logistic_solution, ode_crossing_time
     from .oja import Table, resolve_init
     from .spectrum import chain_rng, make_spectrum
@@ -301,8 +303,9 @@ def cmd_ode(cfg: dict, seed: int, workers: int):
 
     def run() -> dict:
         cols = ("t", *(f"v{i + 1}_sq" for i in range(spec.d)))
-        rows = [(t, *(logistic_solution(spec, v0, t) ** 2).tolist()) for t in grid.tolist()]
-        return {"ode_curve.csv": Table(columns=cols, rows=rows), "summary.json": summary}
+        curve = np.array([logistic_solution(spec, v0, t) for t in grid.tolist()]) ** 2
+        return {"ode_curve.csv": Table(columns=cols, data=(grid, *curve.T)),
+                "summary.json": summary}
 
     return run, 1
 
@@ -323,25 +326,23 @@ def cmd_sde(cfg: dict, seed: int, workers: int):
     def run() -> dict:
         path = simulate_ou(ou, u0, t_end, dt, seed)
         cols = ("t", *(f"u{i + 1}" for i in range(spec.d - 1)))
-        rows = [(t, *u) for t, u in zip(path.times.tolist(), path.states.tolist())]
-        files = {"ou_path.csv": Table(columns=cols, rows=rows)}
+        files = {"ou_path.csv": Table(columns=cols, data=(path.times, *path.states.T))}
         if n_paths < 2:
             return files
         times, means, varis = ou_ensemble_moments(ou, u0, grid, dt, n_paths, seed)
+        mean_c, var_c = ou_mean_cov(ou, u0, times[:, None])
         cols = ("t", *(f"{stat}_u{i + 1}" for stat in ("mean", "var", "closed_mean", "closed_var")
                        for i in range(spec.d - 1)))
-        rows = []
-        for j, t in enumerate(times):
-            mean_c, var_c = ou_mean_cov(ou, u0, float(t))
-            rows.append((float(t), *means[j].tolist(), *varis[j].tolist(), *mean_c.tolist(),
-                         *var_c.tolist()))
-        files["ou_moments.csv"] = Table(columns=cols, rows=rows)
+        files["ou_moments.csv"] = Table(columns=cols, data=(times, *means.T, *varis.T,
+                                                            *mean_c.T, *var_c.T))
         return files
 
     return run, 1
 
 
 def cmd_phases(cfg: dict, seed: int, workers: int):
+    import numpy as np
+
     from .oja import Table, _config_echo, trajectory_from_csv
     from .phases import (CrossingReport, EmpiricalCrossings, PhaseThresholds, crossing_report,
                          cutoff_ratios, predict_crossings)
@@ -356,8 +357,9 @@ def cmd_phases(cfg: dict, seed: int, workers: int):
         predicted = predict_crossings(spec, beta, delta, k)
 
     def cutoff_table(betas) -> Table:
-        rows = [(b, *cutoff_ratios(spec, b, delta, k)) for b in map(_positive, _typed(list)(betas))]
-        return Table(columns=("beta", "r21", "r31"), rows=rows)
+        betas = [_positive(b) for b in _typed(list)(betas)]
+        ratios = np.array([cutoff_ratios(spec, b, delta, k) for b in betas]).reshape(-1, 2)
+        return Table(columns=("beta", "r21", "r31"), data=(betas, *ratios.T))
 
     cutoff = _field(cfg, "betas_for_cutoff", _optional(cutoff_table), None)
     traj = None

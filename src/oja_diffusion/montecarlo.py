@@ -60,6 +60,7 @@ from .sde import OuSpec, ou_mean_cov, stationary_sin2
 from .spectrum import (
     EigenSpectrum,
     GAUSSIAN_SAMPLER_NOTE,
+    _check_count,
     chain_rng,
     derive_seed,
 )
@@ -97,19 +98,10 @@ def grid_to_steps(t_grid, beta: float, n_steps: int) -> np.ndarray:
     return steps
 
 
-def _check_count(name: str, value) -> int:
-    """The count as an int; ValueError unless it is a positive integer."""
-    try:
-        valid = int(value) == value and value >= 1
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
 def _check_t_list(t_list) -> list:
-    """The horizons as ints; ValueError unless there is one and each is at least 100 samples."""
+    """The horizons as ints; ValueError unless there is one and each is an integer >= 100."""
+    if any(isinstance(t, bool) or int(t) != t for t in t_list):
+        raise ValueError(f"horizons must be integers (not bools), got {t_list}")
     t_list = [int(t) for t in t_list]
     if not t_list or any(t < 100 for t in t_list):
         raise ValueError(
@@ -238,20 +230,11 @@ class EnsembleSummary:
 
     def table(self) -> "Table":
         d = self.mean_v.shape[1]
-        cols = (
-            ["t", "step", "mean_v1sq", "se_v1sq", "mean_sin2", "se_sin2"]
-            + [f"mean_v{i + 1}" for i in range(d)]
-            + [f"var_v{i + 1}" for i in range(d)]
-        )
-        rows = []
-        for j in range(len(self.times)):
-            rows.append(
-                (float(self.times[j]), int(self.steps[j]), float(self.mean_v1sq[j]),
-                 float(self.se_v1sq[j]), float(self.mean_sin2[j]), float(self.se_sin2[j]))
-                + tuple(float(x) for x in self.mean_v[j])
-                + tuple(float(x) for x in self.var_v[j])
-            )
-        return Table(columns=tuple(cols), rows=rows)
+        cols = ("t", "step", "mean_v1sq", "se_v1sq", "mean_sin2", "se_sin2",
+                *(f"mean_v{i + 1}" for i in range(d)), *(f"var_v{i + 1}" for i in range(d)))
+        return Table(columns=cols, data=(self.times, self.steps, self.mean_v1sq, self.se_v1sq,
+                                         self.mean_sin2, self.se_sin2, *self.mean_v.T,
+                                         *self.var_v.T))
 
 
 def _grid_states(cfg: EnsembleConfig, workers: int) -> tuple[np.ndarray, np.ndarray]:
@@ -354,22 +337,14 @@ def ode_convergence_experiment(cfg: EnsembleConfig, workers: int = 1) -> Experim
     _two_chains(cfg.n_chains)
     v0 = _ode_convergence_v0(cfg.base)
     summ = ensemble_summary(cfg, workers=workers)
-    rows = []
-    sup = 0.0
-    for j, t in enumerate(cfg.t_grid):
-        ode_v1sq = float(logistic_solution(cfg.base.spec, v0, float(t))[0] ** 2)
-        diff = abs(float(summ.mean_v1sq[j]) - ode_v1sq)
-        sup = max(sup, diff)
-        rows.append(
-            (float(t), int(summ.steps[j]), float(summ.mean_v1sq[j]), ode_v1sq,
-             diff, float(summ.se_v1sq[j]))
-        )
+    ode_v1sq = np.array([logistic_solution(cfg.base.spec, v0, t)[0] for t in cfg.t_grid]) ** 2
+    abs_diff = np.abs(summ.mean_v1sq - ode_v1sq)
     table = Table(
         columns=("t", "step", "mean_v1sq", "ode_v1sq", "abs_diff", "se_v1sq"),
-        rows=rows,
+        data=(summ.times, summ.steps, summ.mean_v1sq, ode_v1sq, abs_diff, summ.se_v1sq),
     )
     summary = {
-        "sup_abs_diff": sup,
+        "sup_abs_diff": float(abs_diff.max()),
         "beta": cfg.base.beta,
         "n_chains": cfg.n_chains,
         "sampler": cfg.base.sampler,
@@ -396,33 +371,25 @@ def sde_covariance_experiment(cfg: EnsembleConfig, k: int, workers: int = 1) -> 
     ou = _ou_at_start(base, k)
     states = _grid_states(cfg, workers)[1]
     other = [i for i in range(base.spec.d) if i != k - 1]
-    root_beta = np.sqrt(base.beta)
-    rows = []
-    max_rel = 0.0
-    n_included = 0
-    for j, t in enumerate(cfg.t_grid):
-        u = states[j][:, other] / root_beta  # (n_chains, d-1)
-        emp_mean = u.mean(axis=0)
-        emp_var = u.var(axis=0, ddof=1)
-        mean_c, var_c = ou_mean_cov(ou, 0.0, float(t))
-        for m, coord in enumerate(other):
-            included = bool(var_c[m] >= base.beta)
-            rel = abs(emp_var[m] - var_c[m]) / var_c[m] if included else None
-            if included:
-                max_rel = max(max_rel, rel)
-                n_included += 1
-            rows.append(
-                (float(t), coord + 1, float(emp_mean[m]), float(emp_var[m]),
-                 float(mean_c[m]), float(var_c[m]), rel, included)
-            )
+    times = np.asarray(cfg.t_grid)
+    # One row per (t, coord): the (n_t, d-1) arrays below, read in C order.  A cell whose
+    # predicted variance is below beta has an empty rel_dev_var.
+    u = states[:, :, other] / np.sqrt(base.beta)
+    emp_mean, emp_var = u.mean(axis=1), u.var(axis=1, ddof=1)
+    mean_c, var_c = ou_mean_cov(ou, 0.0, times[:, None])
+    included = var_c >= base.beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(emp_var - var_c) / var_c
     table = Table(
         columns=("t", "coord", "emp_mean", "emp_var", "closed_mean", "closed_var",
                  "rel_dev_var", "included"),
-        rows=rows,
+        data=(np.repeat(times, len(other)), np.tile(np.add(other, 1), len(times)),
+              emp_mean.ravel(), emp_var.ravel(), mean_c.ravel(), var_c.ravel(),
+              np.where(included, rel, None).ravel(), included.ravel()),
     )
     summary = {
-        "max_rel_dev_var": max_rel,
-        "n_cells_included": n_included,
+        "max_rel_dev_var": float(rel[included].max(initial=0.0)),
+        "n_cells_included": int(included.sum()),
         "beta": base.beta,
         "k": int(k),
         "n_chains": cfg.n_chains,
@@ -460,21 +427,19 @@ def finite_sample_experiment(
     """
     _two_chains(n_chains)
     bases = _finite_sample_bases(spec, t_list, seed, sampler)
-    rows = []
-    ratios = []
-    for base in bases:
-        t, beta = base.n_steps, base.beta
-        states = run_ensemble_states(base, n_chains, np.array([t]), workers=workers)
-        sin2 = _sin2(states[0])
-        mean = float(sin2.mean())
-        se = float(sin2.std(ddof=1) / np.sqrt(n_chains))
-        bound = rate_bound_sin2(spec, t)
-        ratio = mean / bound
-        ratios.append(ratio)
-        rows.append((t, beta, mean, se, bound, ratio))
+    horizons = [base.n_steps for base in bases]
+    # Terminal sin^2 of every chain, one row per horizon.
+    sin2 = np.array([
+        _sin2(run_ensemble_states(base, n_chains, np.array([base.n_steps]), workers=workers)[0])
+        for base in bases
+    ])
+    mean = sin2.mean(axis=1)
+    bound = np.array([rate_bound_sin2(spec, t) for t in horizons])
+    ratios = (mean / bound).tolist()
     table = Table(
         columns=("t_samples", "beta", "mean_sin2", "se_sin2", "bound_sin2", "ratio"),
-        rows=rows,
+        data=(horizons, [base.beta for base in bases], mean,
+              sin2.std(axis=1, ddof=1) / np.sqrt(n_chains), bound, ratios),
     )
     summary = {
         "ratios": ratios,
@@ -484,7 +449,7 @@ def finite_sample_experiment(
         "n_chains": int(n_chains),
         "sampler": sampler,
     }
-    echo = _config_echo(spec=spec, t_list=[b.n_steps for b in bases], n_chains=int(n_chains),
+    echo = _config_echo(spec=spec, t_list=horizons, n_chains=int(n_chains),
                         seed=seed, sampler=sampler)
     return ExperimentResult(
         name="finite_sample", tables={"table": table}, summary=summary, config_echo=echo
@@ -511,12 +476,6 @@ def phase_portrait_experiment(
     crossings = _detect_crossings(v1sq, sin2, rec_steps, base, thresholds.delta)
 
     quartiles = np.quantile(sin2, [0.25, 0.75], axis=1)
-    curve_rows = list(zip(rec_steps.tolist(), np.median(sin2, axis=1).tolist(),
-                          quartiles[0].tolist(), quartiles[1].tolist()))
-    crossing_rows = [
-        (c, *(None if n < 0 else n for n in col)) for c, col in enumerate(crossings.T.tolist())
-    ]
-
     predicted = predict_crossings(base.spec, base.beta, delta, k)
     # Plateau window: at least the detection window, but no shorter than 10%
     # of the horizon, so the per-chain means average over several correlation
@@ -530,22 +489,19 @@ def phase_portrait_experiment(
         summary[f"{name}_median_empirical"] = float(np.median(present)) if present.size else None
         summary[f"n_detected_{name}"] = int(present.size)
     summary.update({
-        "predicted": {
-            "N1_median": predicted.n1_median,
-            "N1_q10": predicted.n1_q10,
-            "N1_q90": predicted.n1_q90,
-            "N2_low": predicted.n2_low,
-            "N2_high": predicted.n2_high,
-            "N3": predicted.n3,
-        },
+        "predicted": predicted.to_json_dict(),
         "plateau_median": float(np.median(tail_mean)),
         "stationary_sin2": stationary_sin2(base.spec, base.beta),
         "delta": float(delta),
         "k": k,
     })
     tables = {
-        "curve": Table(columns=("step", "median_sin2", "q25_sin2", "q75_sin2"), rows=curve_rows),
-        "crossings": Table(columns=("chain", "n1", "n2", "n3"), rows=crossing_rows),
+        "curve": Table(columns=("step", "median_sin2", "q25_sin2", "q75_sin2"),
+                       data=(rec_steps, np.median(sin2, axis=1), *quartiles)),
+        # A phase never reached (-1) is an empty cell.
+        "crossings": Table(columns=("chain", "n1", "n2", "n3"),
+                           data=(np.arange(cfg.n_chains),
+                                 *np.where(crossings < 0, None, crossings))),
     }
     return ExperimentResult(
         name="phase_portrait",

@@ -66,7 +66,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .spectrum import (
-    EigenSpectrum, GAUSSIAN_SAMPLER_NOTE, chain_rng, get_sampler, _axis_draws, _check_seed,
+    EigenSpectrum, GAUSSIAN_SAMPLER_NOTE, chain_rng, get_sampler, _axis_draws, _check_count,
+    _check_seed,
 )
 
 __all__ = [
@@ -105,13 +106,6 @@ _TARGET_RECORDS = 10_000
 InitSpec = Union[str, Sequence[float], np.ndarray]
 
 
-def _project(v: np.ndarray, y: np.ndarray, beta) -> np.ndarray:
-    """The projected update on the last axis, shared by every caller."""
-    s = np.einsum("...d,...d->...", v, y)
-    w = v + beta * s[..., None] * y
-    return w / np.sqrt(np.einsum("...d,...d->...", w, w))[..., None]
-
-
 def _off_sphere(states: np.ndarray, tol: float) -> bool:
     """True when some state on the last axis is not a unit vector within tol.
 
@@ -122,7 +116,10 @@ def _off_sphere(states: np.ndarray, tol: float) -> bool:
 
 def oja_step(v: np.ndarray, y: np.ndarray, beta) -> np.ndarray:
     """One projected update.  Accepts batched inputs on leading axes."""
-    out = _project(np.asarray(v, dtype=float), np.asarray(y, dtype=float), beta)
+    v = np.asarray(v, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w = v + beta * np.einsum("...d,...d->...", v, y)[..., None] * y
+    out = w / np.sqrt(np.einsum("...d,...d->...", w, w))[..., None]
     if _off_sphere(out, 1e-12):
         raise ValueError("update collapsed the iterate: the result is not a finite unit vector")
     return out
@@ -220,10 +217,8 @@ class OjaConfig:
                     f"sampler (B=trace={self.spec.sample_bound:.6g})"
                 )
         _check_seed(self.seed)
-        if self.record_stride is not None and (
-            int(self.record_stride) != self.record_stride or self.record_stride < 1
-        ):
-            raise ValueError(f"record_stride must be a positive integer, got {self.record_stride}")
+        if self.record_stride is not None:
+            _check_count("record_stride", self.record_stride)
         # Validate preset strings eagerly so config errors surface before any run.
         if isinstance(self.init, str):
             _parse_preset(self.spec, self.init)
@@ -344,48 +339,73 @@ class Trajectory:
     def table(self, include_states: bool = True) -> "Table":
         """The CSV table (step, v1..vd, sin2_angle), or (step, sin2_angle) without states."""
         if not include_states:
-            return Table(columns=("step", "sin2_angle"),
-                         rows=list(zip(self.times.tolist(), self.sin2_angle.tolist())))
+            return Table(columns=("step", "sin2_angle"), data=(self.times, self.sin2_angle))
         cols = ("step", *(f"v{i + 1}" for i in range(self.states.shape[1])), "sin2_angle")
-        rows = [(t, *v, s2) for t, v, s2 in
-                zip(self.times.tolist(), self.states.tolist(), self.sin2_angle.tolist())]
-        return Table(columns=cols, rows=rows)
+        return Table(columns=cols, data=(self.times, *self.states.T, self.sin2_angle))
 
 
-def _cell(x) -> str:
-    """One CSV cell: any float as repr(float(x)), None as empty, anything else as str."""
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return "" if x is None else str(x)
+# Table.to_csv formats and writes this many rows at a time.
+_CSV_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
 class Table:
-    """A small named-column table; :meth:`to_csv` writes every CSV the package writes."""
+    """Named columns of one length; :meth:`to_csv` writes every CSV the package writes.
+
+    ``data`` holds one 1-D array, or list of Python scalars and None, per
+    name in ``columns``; a list is kept as the array ``np.asarray`` makes.
+    """
 
     columns: tuple
-    rows: list
+    data: tuple
+
+    def __post_init__(self):
+        data = tuple(np.asarray(col) for col in self.data)
+        if not data or len(data) != len(self.columns) or any(
+            col.ndim != 1 or len(col) != len(data[0]) for col in data
+        ):
+            raise ValueError(f"need one 1-D column of a common length per name in {self.columns}")
+        object.__setattr__(self, "data", data)
+
+    @property
+    def rows(self) -> list:
+        """The rows, as tuples of Python scalars."""
+        return list(zip(*(col.tolist() for col in self.data)))
 
     def to_csv(self, path) -> None:
+        """Write the header, then the rows a chunk at a time.
+
+        A chunk's cells are its column slices' ``tolist()``, Python scalars
+        that the csv writer writes as their repr, and None as an empty cell.
+        """
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
-            writer.writerows([_cell(x) for x in row] for row in self.rows)
+            for lo in range(0, len(self.data[0]), _CSV_CHUNK):
+                writer.writerows(zip(*(col[lo:lo + _CSV_CHUNK].tolist() for col in self.data)))
 
 
 def trajectory_from_csv(path, config: OjaConfig) -> Trajectory:
-    """Rebuild a trajectory from the CSV of :meth:`Trajectory.table`."""
+    """Rebuild a trajectory from the CSV of :meth:`Trajectory.table`.
+
+    ValueError unless it has a state column per coordinate of ``config.spec``
+    and its steps increase strictly within [0, config.n_steps].
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        if header[:1] != ["step"] or "sin2_angle" not in header:
+        if header[:1] != ["step"] or header[-1:] != ["sin2_angle"]:
             raise ValueError(f"not a trajectory CSV: unexpected header {header}")
-        if len(header) < 3:
-            raise ValueError("trajectory CSV must include the state columns")
+        if len(header) != config.spec.d + 2:
+            raise ValueError(f"trajectory CSV has {len(header) - 2} state columns, but the "
+                             f"config's spec has d={config.spec.d}")
         rows = [row for row in reader]
     if not rows or any(len(r) != len(header) for r in rows):
         raise ValueError(f"trajectory CSV needs at least one row, each of {len(header)} cells")
     times = np.array([int(r[0]) for r in rows])
+    if times[0] < 0 or times[-1] > config.n_steps or np.any(np.diff(times) <= 0):
+        raise ValueError(f"trajectory steps must increase strictly within [0, n_steps="
+                         f"{config.n_steps}]")
     states = np.array([[float(x) for x in r[1:-1]] for r in rows])
     sin2 = np.array([float(r[-1]) for r in rows])
     return Trajectory(config=config, times=times, states=states, sin2_angle=sin2)

@@ -77,6 +77,10 @@ class CrossingPrediction:
     n2_high: float
     n3: float
 
+    def to_json_dict(self) -> dict:
+        return {"N1_median": self.n1_median, "N1_q10": self.n1_q10, "N1_q90": self.n1_q90,
+                "N2_low": self.n2_low, "N2_high": self.n2_high, "N3": self.n3}
+
 
 @dataclass(frozen=True)
 class EmpiricalCrossings:
@@ -178,14 +182,7 @@ class CrossingReport:
                 "N2": self.empirical.n2,
                 "N3": self.empirical.n3,
             },
-            "predicted": {
-                "N1_median": self.predicted.n1_median,
-                "N1_q10": self.predicted.n1_q10,
-                "N1_q90": self.predicted.n1_q90,
-                "N2_low": self.predicted.n2_low,
-                "N2_high": self.predicted.n2_high,
-                "N3": self.predicted.n3,
-            },
+            "predicted": self.predicted.to_json_dict(),
             "config": self.config,
             "note": CONSTANTS_NOTE,
         }

@@ -116,9 +116,10 @@ def ou_mean_cov(ou: OuSpec, u0, t: float):
     mean_i = u_i(0) e^{-a_i t}; var_i = lambda_k lambda_i (1 - e^{-2 a_i t}) / (2 a_i),
     valid for stable, unstable and tied rates (the tie limit is
     lambda_k lambda_i t).  Coordinates are independent, so the variance vector
-    is the full covariance.
+    is the full covariance.  An array t broadcasts against the coordinates:
+    ``times[:, None]`` gives one row per time.
     """
-    if t < 0.0:
+    if np.any(t < 0.0):
         raise ValueError(f"t must be nonnegative, got {t}")
     u0 = _as_u0(ou, u0)
     a = ou.drift_rates

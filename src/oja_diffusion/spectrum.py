@@ -129,11 +129,7 @@ def make_spectrum(lambdas: ArrayLike) -> EigenSpectrum:
 
 
 def _normalize_size(size: Optional[int]) -> int:
-    if size is None:
-        return 1
-    if int(size) != size or size < 1:
-        raise ValueError(f"size must be a positive integer, got {size!r}")
-    return int(size)
+    return 1 if size is None else _check_count("size", size)
 
 
 def sample_bounded(
@@ -235,3 +231,14 @@ def _check_seed(seed: int) -> int:
     if int(seed) != seed or not (0 <= seed <= MAX_SEED):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return int(seed)
+
+
+def _check_count(name: str, value) -> int:
+    """The count as an int; ValueError unless it is a positive integer."""
+    try:
+        valid = int(value) == value and value >= 1
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)

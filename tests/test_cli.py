@@ -312,6 +312,7 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
     ("sde", {"spec": [2.0, 1.0], "t_end": 0.1, "dt": 1e-3, "u0": math.nan}, "u0"),
     ("sde", {"spec": [2.0, 1.0], "t_end": math.inf, "dt": 1e-3}, "t_end"),
     ("mc", {"experiment": "finite_sample", "spec": [2.0, 1.0], "t_list": [50]}, "t_list"),
+    ("mc", {"experiment": "finite_sample", "spec": [2.0, 1.0], "t_list": [1000.7]}, "t_list"),
     ("rates", {"spec": [2.0, 1.0], "t_samples": 1e5, "b": math.nan}, "b"),
     ("rates", {"spec": [2.0, 1.0], "t_samples": 1e5, "sigma_star2": "abc"}, "sigma_star2"),
     ("phases", {"spec": [2.0, 1.0], "beta": 1e-3, "delta": 0.25,
@@ -345,7 +346,8 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
     ("mc", {"experiment": "ode_convergence", "spec": [2.0, 1.0], "beta": 1e-3,
             "n_chains": 1, "t_grid": [0.5, 1.0]}, "n_chains"),
 ], ids=["ode-nan-t_grid", "ode-nan-grid-object", "mc-nan-t_grid", "sde-nan-u0",
-        "sde-inf-t_end", "mc-short-t_list", "rates-nan-b", "rates-text-sigma_star2",
+        "sde-inf-t_end", "mc-short-t_list", "mc-fractional-t_list", "rates-nan-b",
+        "rates-text-sigma_star2",
         "phases-nan-betas_for_cutoff", "mc-unknown-sampler", "mc-saddle-k-1",
         "ode-delta-0.9", "run-nan-init", "mc-uniform-init-ode_convergence",
         "mc-bounded-sde_covariance", "mc-finite_sample-bounded-cap",
@@ -462,7 +464,11 @@ def test_manifest_records_stage_times(tmp_path, command, payload):
     "step,v1,v2,sin2_angle\n",
     "step,v1,v2,sin2_angle\n0,1.0,0.0,0.0\n\n",
     "step,v1,v2,sin2_angle\n0,1.0,0.0\n",
-], ids=["empty", "header-only", "blank-row", "short-row"])
+    "step,v1,v2,v3,sin2_angle\n0,1.0,0.0,0.0,0.0\n",
+    "step,v1,v2,sin2_angle\n0,1.0,0.0,0.0\n11,1.0,0.0,0.0\n",
+    "step,v1,v2,sin2_angle\n0,1.0,0.0,0.0\n5,1.0,0.0,0.0\n5,1.0,0.0,0.0\n",
+], ids=["empty", "header-only", "blank-row", "short-row", "d-3-under-d-2-spec",
+        "step-past-n_steps", "repeated-step"])
 def test_malformed_trajectory_csv_is_exit_2(tmp_path, capsys, text):
     csv_path = tmp_path / "trajectory.csv"
     csv_path.write_text(text)

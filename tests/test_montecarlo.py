@@ -15,6 +15,7 @@ from oja_diffusion import (
     logistic_solution,
     make_spectrum,
     ode_convergence_experiment,
+    ou_mean_cov,
     phase_portrait_experiment,
     rate_bound_sin2,
     run_chain,
@@ -23,9 +24,10 @@ from oja_diffusion import (
     stepsize_rule,
 )
 from oja_diffusion.montecarlo import Table, _worker_count, grid_to_steps
-from oja_diffusion.oja import Trajectory, _sin2, record_steps
+from oja_diffusion.oja import _CSV_CHUNK, Trajectory, _sin2, record_steps
 from oja_diffusion.phases import detect_phases
-from oja_diffusion.spectrum import GAUSSIAN_SAMPLER_NOTE
+from oja_diffusion.sde import OuSpec
+from oja_diffusion.spectrum import GAUSSIAN_SAMPLER_NOTE, derive_seed
 
 SPEC2 = make_spectrum([2.0, 1.0])
 
@@ -129,14 +131,33 @@ def test_ensemble_summary_statistics():
 
 
 def test_table_to_csv(tmp_path):
-    tab = Table(columns=("a", "b"), rows=[(1.5, None), (0.1, 3), (np.float64(0.1), True)])
+    # Longer than one write chunk, so the chunk boundaries are crossed.
+    n = 2 * _CSV_CHUNK + 3
+    floats = [0.1 * i - 7.0 for i in range(n)]
+    floats[1] = np.float64(0.1)  # a numpy float reads as a plain float
+    floats[2] = 1e-300
+    ints = np.arange(n) - 5
+    flags = np.arange(n) % 3 == 0
+    maybe = [None if i % 4 else 1.0 / (i + 1) for i in range(n)]
+    tab = Table(columns=("a", "b", "c", "d"), data=(floats, ints, flags, maybe))
+    expected = [("a", "b", "c", "d")] + [
+        (repr(float(a)), repr(int(b)), repr(bool(c)), "" if d is None else repr(d))
+        for a, b, c, d in zip(floats, ints, flags, maybe)
+    ]
     path = tmp_path / "t.csv"
     tab.to_csv(path)
-    text = path.read_text().splitlines()
-    assert text[0] == "a,b"
-    assert text[1] == "1.5,"  # None becomes an empty cell
-    assert text[2] == "0.1,3"
-    assert text[3] == "0.1,True"  # a numpy float reads as a plain float
+    with open(path, newline="") as fh:
+        assert fh.read() == "".join(",".join(row) + "\r\n" for row in expected)
+    assert tab.rows == [(float(a), int(b), bool(c), d)
+                        for a, b, c, d in zip(floats, ints, flags, maybe)]
+    assert all(type(x) in (float, int, bool, type(None)) for row in tab.rows for x in row)
+
+
+def test_table_rejects_ragged_columns():
+    with pytest.raises(ValueError, match="common length"):
+        Table(columns=("a", "b"), data=([1.0, 2.0], [1.0]))
+    with pytest.raises(ValueError, match="common length"):
+        Table(columns=("a", "b"), data=([1.0, 2.0],))
 
 
 def test_ode_convergence_experiment():
@@ -174,6 +195,47 @@ def test_sde_covariance_experiment():
     # closed-form column: stationary-approach variance of the stable OU
     row = [r for r in tab.rows if r[0] == 3.0][0]
     assert row[5] == pytest.approx(-np.expm1(-6.0), rel=1e-12)
+
+
+def test_sde_covariance_table_matches_a_per_cell_loop():
+    # d=3 around e_2: a stable and an unstable coordinate, and cells on both
+    # sides of the noise floor (the t=0 cells have closed_var 0).
+    base = OjaConfig(spec=make_spectrum([3.0, 1.0, 0.5]), beta=1e-3, n_steps=400,
+                     init="saddle:2", seed=2, sampler="gaussian")
+    cfg = EnsembleConfig(base=base, n_chains=30, t_grid=(0.0, 0.01, 0.3, 0.3))
+    res = sde_covariance_experiment(cfg, k=2)
+    states = run_ensemble_states(base, 30, np.array([0, 10, 300]))[[0, 1, 2, 2]]
+    ou = OuSpec(spec=base.spec, k=2)
+    rows = []
+    for j, t in enumerate(cfg.t_grid):
+        u = states[j][:, [0, 2]] / np.sqrt(base.beta)
+        mean, var = u.mean(axis=0), u.var(axis=0, ddof=1)
+        mean_c, var_c = ou_mean_cov(ou, 0.0, t)
+        for m, coord in enumerate((1, 3)):
+            included = bool(var_c[m] >= base.beta)
+            rel = float(abs(var[m] - var_c[m]) / var_c[m]) if included else None
+            rows.append((t, coord, float(mean[m]), float(var[m]), float(mean_c[m]),
+                         float(var_c[m]), rel, included))
+    assert res.tables["table"].rows == rows
+    rels = [r[6] for r in rows if r[7]]
+    assert 0 < len(rels) < len(rows)
+    assert res.summary["max_rel_dev_var"] == max(rels)
+    assert res.summary["n_cells_included"] == len(rels)
+
+
+def test_finite_sample_table_matches_a_per_horizon_loop():
+    res = finite_sample_experiment(SPEC2, [100, 300], 20, seed=5)
+    rows = []
+    for j, t in enumerate((100, 300)):
+        base = OjaConfig(spec=SPEC2, beta=stepsize_rule(SPEC2, t), n_steps=t, init="uniform",
+                         seed=derive_seed(5, j), sampler="gaussian")
+        sin2 = _sin2(run_ensemble_states(base, 20, np.array([t]))[0])
+        mean = float(sin2.mean())
+        bound = rate_bound_sin2(SPEC2, t)
+        rows.append((t, base.beta, mean, float(sin2.std(ddof=1) / np.sqrt(20)), bound,
+                     mean / bound))
+    assert res.tables["table"].rows == rows
+    assert res.summary["ratios"] == [r[5] for r in rows]
 
 
 def test_sde_covariance_rejects_bounded_stream():
