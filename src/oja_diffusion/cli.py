@@ -10,10 +10,11 @@ Subcommands: run, ode, sde, phases, mc, rates.  Each takes a JSON config via
 2. import and parse the config: the subcommand imports the library names
    it uses (``run``, ``ode`` and ``sde`` never load montecarlo or phases),
    reads every config field and builds every library object its run needs
-   (spectrum, chain and ensemble configs, OU block, thresholds, grids,
-   deterministic inits, an input trajectory, the cutoff table).  A bad field
-   is a ConfigError whose message names it; the exit code is 2 and nothing
-   has been written, not even the output directory.
+   (spectrum, chain and ensemble configs, OU block, thresholds, grids, an
+   input trajectory, the cutoff table); for ``mc`` that ends in the
+   experiment's ``prepare_*``, which checks its inputs and returns its run.
+   A bad field is a ConfigError whose message names it; the exit code is 2
+   and nothing has been written, not even the output directory.
 3. begin: manifest.json, naming the command, config, seed, tool version, the
    requested workers with the processes the run uses, and the time the
    first two steps took, is written atomically.
@@ -56,11 +57,11 @@ _REQUIRED = object()
 
 @contextlib.contextmanager
 def _blame(key: str):
-    """Re-raise a ValueError, TypeError, OverflowError or OSError as ConfigError naming ``key``."""
+    """Re-raise ValueError/TypeError/OverflowError/OSError as ConfigError naming e.field or key."""
     try:
         yield
     except (ValueError, TypeError, OverflowError, OSError) as e:
-        raise ConfigError(f"config field '{key}': {e}") from None
+        raise ConfigError(f"config field '{getattr(e, 'field', key)}': {e}") from None
 
 
 def _field(cfg: dict, key: str, convert=lambda v: v, default=_REQUIRED):
@@ -390,61 +391,42 @@ def cmd_phases(cfg: dict, seed: int, workers: int):
 def cmd_mc(cfg: dict, seed: int, workers: int):
     import numpy as np
 
-    from .montecarlo import (EnsembleConfig, _check_t_list, _finite_sample_bases, _gaussian_only,
-                             _ode_convergence_v0, _ou_at_start, _two_chains, _worker_count,
-                             finite_sample_experiment, ode_convergence_experiment,
-                             phase_portrait_experiment, sde_covariance_experiment)
-    from .phases import PhaseThresholds, _saddle_index
+    from .montecarlo import (EnsembleConfig, _worker_count, prepare_finite_sample,
+                             prepare_ode_convergence, prepare_phase_portrait,
+                             prepare_sde_covariance)
     from .sde import OuSpec
     from .spectrum import make_spectrum
 
     experiment = _field(cfg, "experiment")
     if experiment not in _EXPERIMENTS:
-        raise ConfigError(
-            f"config field 'experiment': unknown experiment {experiment!r}; expected "
-            f"one of {', '.join(_EXPERIMENTS)}"
-        )
+        raise ConfigError(f"config field 'experiment': unknown experiment {experiment!r}; "
+                          f"expected one of {', '.join(_EXPERIMENTS)}")
     spec = _field(cfg, "spec", make_spectrum)
     n_chains = _field(cfg, "n_chains", lambda v: _count(v, 1), 200)
-    if experiment != "phase_portrait":
-        with _blame("n_chains"):
-            _two_chains(n_chains)
-
     if experiment == "finite_sample":
-        sampler = _field(cfg, "sampler", _sampler, "gaussian")
-        t_list = _field(cfg, "t_list", _check_t_list)
-        with _blame("t_list"):
-            _finite_sample_bases(spec, t_list, seed, sampler)
-        experiment_run = partial(finite_sample_experiment, spec, t_list, n_chains, seed,
-                                 sampler=sampler)
+        prepare = partial(prepare_finite_sample, spec, _field(cfg, "t_list"), n_chains, seed,
+                          _field(cfg, "sampler", default="gaussian"))
     elif experiment == "phase_portrait":
         base = _chain(cfg, spec, seed, init="saddle:2", sampler="gaussian")
-        ens = EnsembleConfig(base=base, n_chains=n_chains, t_grid=(0.0,))
-        delta = _field(cfg, "delta", lambda v: PhaseThresholds(delta=_real(v)).delta)
-        k = _field(cfg, "k", lambda v: _saddle_index(base, v), None)
-        experiment_run = partial(phase_portrait_experiment, ens, delta, k=k)
+        prepare = partial(prepare_phase_portrait, base, n_chains, _field(cfg, "delta", _real),
+                          _field(cfg, "k", default=None))
     else:
         grid = _field(cfg, "t_grid", _grid)
         steps_for = lambda beta: np.floor(grid.max() / beta + 1e-9)
         if experiment == "ode_convergence":
             base = _chain(cfg, spec, seed, "warm:0.5", "bounded", steps_for)
-            with _blame("init"):
-                _ode_convergence_v0(base)
         else:
             k = _field(cfg, "k", lambda v: OuSpec(spec=spec, k=_count(v)).k, 1)
             base = _chain(cfg, spec, seed, f"saddle:{k}", "gaussian", steps_for)
-            with _blame("sampler"):
-                _gaussian_only(base)
-            with _blame("init"):
-                _ou_at_start(base, k)
         with _blame("t_grid"):
             ens = EnsembleConfig(base=base, n_chains=n_chains, t_grid=tuple(grid))
-        experiment_run = (partial(ode_convergence_experiment, ens)
-                          if experiment == "ode_convergence"
-                          else partial(sde_covariance_experiment, ens, k))
+        prepare = (partial(prepare_ode_convergence, ens) if experiment == "ode_convergence"
+                   else partial(prepare_sde_covariance, ens, k))
+    with _blame("experiment"):  # each check the experiment has names its own field
+        experiment_run = prepare()
 
     def run() -> dict:
-        result = experiment_run(workers=workers)
+        result = experiment_run(workers)
         files = {f"{result.name}_{key}.csv": table for key, table in result.tables.items()}
         files["summary.json"] = {"experiment": result.name, "summary": result.summary,
                                  "config": result.config_echo}

@@ -11,18 +11,19 @@ for a given config no matter how chains are chunked across workers, and chain
 
 Experiments map diffusion-limit predictions onto ensemble statistics:
 
-* ``ode_convergence_experiment``: mean overlap vs the closed-form flow on a
+* ``ode_convergence``: mean overlap vs the closed-form flow on a
   diffusion-time grid; the sup discrepancy shrinks with beta.
-* ``sde_covariance_experiment``: rescaled off-axis moments around e_k vs the
+* ``sde_covariance``: rescaled off-axis moments around e_k vs the
   closed-form OU mean/variance (Gaussian stream only).
-* ``finite_sample_experiment``: terminal sin^2 at the horizon-tuned stepsize
+* ``finite_sample``: terminal sin^2 at the horizon-tuned stepsize
   vs the predicted rate level, over several horizons.
-* ``phase_portrait_experiment``: three-phase crossings of every chain, detected
+* ``phase_portrait``: three-phase crossings of every chain, detected
   over the whole ensemble at once, plus median sin^2 curves from a saddle start.
 
-Each experiment returns named tables plus a summary dict; the CLI writes each
-table as a CSV and adds a JSON manifest with a config echo, wall time and
-content hashes.
+``prepare_<name>`` checks the experiment's inputs once, raising
+:class:`FieldError` naming a bad one, and returns ``run(workers=1)``, which
+returns named tables plus a summary dict; ``<name>_experiment`` is
+``prepare_<name>(...)(workers)``.  The CLI writes each table as a CSV.
 """
 
 from __future__ import annotations
@@ -63,14 +64,20 @@ from .spectrum import (
     _check_count,
     chain_rng,
     derive_seed,
+    get_sampler,
 )
 
 __all__ = [
     "EnsembleConfig",
     "EnsembleSummary",
     "ExperimentResult",
+    "FieldError",
     "run_ensemble_states",
     "ensemble_summary",
+    "prepare_ode_convergence",
+    "prepare_sde_covariance",
+    "prepare_finite_sample",
+    "prepare_phase_portrait",
     "ode_convergence_experiment",
     "sde_covariance_experiment",
     "finite_sample_experiment",
@@ -86,6 +93,8 @@ def grid_to_steps(t_grid, beta: float, n_steps: int) -> np.ndarray:
     step exactly.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError(f"grid times must be finite, got {t_grid.tolist()}")
     ratio = t_grid / beta
     steps = np.floor(ratio + 1e-9 * np.maximum(1.0, np.abs(ratio))).astype(int)
     if np.any(steps < 0):
@@ -96,18 +105,6 @@ def grid_to_steps(t_grid, beta: float, n_steps: int) -> np.ndarray:
             f"grid time {bad} maps to step {steps.max()} beyond n_steps={n_steps}"
         )
     return steps
-
-
-def _check_t_list(t_list) -> list:
-    """The horizons as ints; ValueError unless there is one and each is an integer >= 100."""
-    if any(isinstance(t, bool) or int(t) != t for t in t_list):
-        raise ValueError(f"horizons must be integers (not bools), got {t_list}")
-    t_list = [int(t) for t in t_list]
-    if not t_list or any(t < 100 for t in t_list):
-        raise ValueError(
-            f"horizons must be a nonempty list of at least 100 samples each, got {t_list}"
-        )
-    return t_list
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,59 +272,42 @@ class ExperimentResult:
     config_echo: dict
 
 
+class FieldError(ValueError):
+    """An experiment input that fails its check; ``field`` names the input (its config key)."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+@contextlib.contextmanager
+def _blame(field: str):
+    """Re-raise a ValueError, TypeError or OverflowError as a FieldError naming ``field``."""
+    try:
+        yield
+    except (ValueError, TypeError, OverflowError) as e:
+        raise FieldError(field, str(e)) from None
+
+
 def _deterministic_init_vector(base: OjaConfig) -> np.ndarray:
-    """Resolve the init when it does not depend on the chain stream."""
-    if isinstance(base.init, str):
-        if _parse_preset(base.spec, base.init)[0] in ("uniform", "near_saddle"):
-            raise ValueError(
-                f"experiment needs a deterministic init shared by all chains, "
-                f"got random preset {base.init!r}"
-            )
-    return resolve_init(base.spec, base.init, chain_rng(base.seed, 0))
-
-
-def _ode_convergence_v0(base: OjaConfig) -> np.ndarray:
-    """The init every chain shares; ValueError if it is random or on the equator (v_1 = 0)."""
-    v0 = _deterministic_init_vector(base)
-    if v0[0] == 0.0:
-        raise ValueError("init lies on the equator (v_1 = 0); the flow never leaves it")
-    return v0
-
-
-def _gaussian_only(base: OjaConfig) -> None:
-    """ValueError unless the chains draw the Gaussian stream, the one with the OU limit."""
-    if base.sampler != "gaussian":
-        raise ValueError(
-            f"sde_covariance_experiment requires sampler='gaussian': the "
-            f"'{base.sampler}' stream has E[Y_k^2 Y_i^2] != lambda_k lambda_i, "
-            f"so its local fluctuations follow a different diffusion"
-        )
-
-
-def _ou_at_start(base: OjaConfig, k) -> OuSpec:
-    """The OU block around e_k; ValueError unless every chain starts exactly at e_k."""
-    ou = OuSpec(spec=base.spec, k=k)
-    if not np.array_equal(_deterministic_init_vector(base), np.eye(base.spec.d)[int(k) - 1]):
-        raise ValueError(f"init must be exactly e_{k} (preset 'saddle:{k}')")
-    return ou
+    """Resolve the init when it does not depend on the chain stream; FieldError otherwise."""
+    with _blame("init"):
+        if isinstance(base.init, str):
+            if _parse_preset(base.spec, base.init)[0] in ("uniform", "near_saddle"):
+                raise ValueError(f"experiment needs a deterministic init shared by all chains, "
+                                 f"got random preset {base.init!r}")
+        return resolve_init(base.spec, base.init, chain_rng(base.seed, 0))
 
 
 def _two_chains(n_chains: int) -> None:
-    """ValueError below two chains: a variance over one chain (ddof=1) is NaN."""
+    """FieldError below two chains: a variance over one chain (ddof=1) is NaN."""
     if n_chains < 2:
-        raise ValueError(f"needs at least 2 chains for its variances, got {n_chains}")
+        raise FieldError("n_chains", f"needs at least 2 chains for its variances, got {n_chains}")
 
 
-def _finite_sample_bases(spec: EigenSpectrum, t_list, seed: int, sampler: str) -> list:
-    """One uniform-start chain config per horizon T: T steps at beta(T), own master seed."""
-    return [
-        OjaConfig(spec=spec, beta=stepsize_rule(spec, t), n_steps=t, init="uniform",
-                  seed=derive_seed(seed, j), sampler=sampler)
-        for j, t in enumerate(_check_t_list(t_list))
-    ]
-
-
-def ode_convergence_experiment(cfg: EnsembleConfig, workers: int = 1) -> ExperimentResult:
+# Each prepare_* checks every input of its experiment, raising FieldError, and returns
+# run(workers=1) -> ExperimentResult, which only simulates and reduces.
+def prepare_ode_convergence(cfg: EnsembleConfig):
     """Mean overlap of the ensemble vs the closed-form flow on the grid.
 
     Requires a deterministic init with nonzero overlap (off the equator);
@@ -335,29 +315,27 @@ def ode_convergence_experiment(cfg: EnsembleConfig, workers: int = 1) -> Experim
     shrinks as beta does.
     """
     _two_chains(cfg.n_chains)
-    v0 = _ode_convergence_v0(cfg.base)
-    summ = ensemble_summary(cfg, workers=workers)
-    ode_v1sq = np.array([logistic_solution(cfg.base.spec, v0, t)[0] for t in cfg.t_grid]) ** 2
-    abs_diff = np.abs(summ.mean_v1sq - ode_v1sq)
-    table = Table(
-        columns=("t", "step", "mean_v1sq", "ode_v1sq", "abs_diff", "se_v1sq"),
-        data=(summ.times, summ.steps, summ.mean_v1sq, ode_v1sq, abs_diff, summ.se_v1sq),
-    )
-    summary = {
-        "sup_abs_diff": float(abs_diff.max()),
-        "beta": cfg.base.beta,
-        "n_chains": cfg.n_chains,
-        "sampler": cfg.base.sampler,
-    }
-    return ExperimentResult(
-        name="ode_convergence",
-        tables={"table": table},
-        summary=summary,
-        config_echo=_config_echo(cfg.base, n_chains=int(cfg.n_chains), t_grid=list(cfg.t_grid)),
-    )
+    v0 = _deterministic_init_vector(cfg.base)
+    if v0[0] == 0.0:
+        raise FieldError("init", "init lies on the equator (v_1 = 0); the flow never leaves it")
+
+    def run(workers: int = 1) -> ExperimentResult:
+        summ = ensemble_summary(cfg, workers=workers)
+        ode_v1sq = np.array([logistic_solution(cfg.base.spec, v0, t)[0] for t in cfg.t_grid]) ** 2
+        abs_diff = np.abs(summ.mean_v1sq - ode_v1sq)
+        table = Table(
+            columns=("t", "step", "mean_v1sq", "ode_v1sq", "abs_diff", "se_v1sq"),
+            data=(summ.times, summ.steps, summ.mean_v1sq, ode_v1sq, abs_diff, summ.se_v1sq),
+        )
+        summary = {"sup_abs_diff": float(abs_diff.max()), "beta": cfg.base.beta,
+                   "n_chains": cfg.n_chains, "sampler": cfg.base.sampler}
+        echo = _config_echo(cfg.base, n_chains=int(cfg.n_chains), t_grid=list(cfg.t_grid))
+        return ExperimentResult("ode_convergence", {"table": table}, summary, echo)
+
+    return run
 
 
-def sde_covariance_experiment(cfg: EnsembleConfig, k: int, workers: int = 1) -> ExperimentResult:
+def prepare_sde_covariance(cfg: EnsembleConfig, k: int):
     """Rescaled off-axis moments around e_k vs the closed-form OU values.
 
     Requires the Gaussian stream (the bounded stream's fourth moments differ
@@ -366,57 +344,57 @@ def sde_covariance_experiment(cfg: EnsembleConfig, k: int, workers: int = 1) -> 
     beta are reported but excluded from the deviation summary (noise floor).
     """
     base = cfg.base
-    _gaussian_only(base)
+    if base.sampler != "gaussian":
+        raise FieldError("sampler", f"sde_covariance_experiment requires sampler='gaussian': "
+                         f"the '{base.sampler}' stream has E[Y_k^2 Y_i^2] != lambda_k lambda_i, "
+                         f"so its local fluctuations follow a different diffusion")
     _two_chains(cfg.n_chains)
-    ou = _ou_at_start(base, k)
-    states = _grid_states(cfg, workers)[1]
-    other = [i for i in range(base.spec.d) if i != k - 1]
-    times = np.asarray(cfg.t_grid)
-    # One row per (t, coord): the (n_t, d-1) arrays below, read in C order.  A cell whose
-    # predicted variance is below beta has an empty rel_dev_var.
-    u = states[:, :, other] / np.sqrt(base.beta)
-    emp_mean, emp_var = u.mean(axis=1), u.var(axis=1, ddof=1)
-    mean_c, var_c = ou_mean_cov(ou, 0.0, times[:, None])
-    included = var_c >= base.beta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(emp_var - var_c) / var_c
-    table = Table(
-        columns=("t", "coord", "emp_mean", "emp_var", "closed_mean", "closed_var",
-                 "rel_dev_var", "included"),
-        data=(np.repeat(times, len(other)), np.tile(np.add(other, 1), len(times)),
-              emp_mean.ravel(), emp_var.ravel(), mean_c.ravel(), var_c.ravel(),
-              np.where(included, rel, None).ravel(), included.ravel()),
-    )
-    summary = {
-        "max_rel_dev_var": float(rel[included].max(initial=0.0)),
-        "n_cells_included": int(included.sum()),
-        "beta": base.beta,
-        "k": int(k),
-        "n_chains": cfg.n_chains,
-        "sampler_note": GAUSSIAN_SAMPLER_NOTE,
-    }
-    return ExperimentResult(
-        name="sde_covariance",
-        tables={"table": table},
-        summary=summary,
-        config_echo=_config_echo(base, n_chains=int(cfg.n_chains), t_grid=list(cfg.t_grid),
-                                 k=int(k)),
-    )
+    with _blame("k"):
+        ou = OuSpec(spec=base.spec, k=k)
+    if not np.array_equal(_deterministic_init_vector(base), np.eye(base.spec.d)[int(k) - 1]):
+        raise FieldError("init", f"init must be exactly e_{k} (preset 'saddle:{k}')")
+
+    def run(workers: int = 1) -> ExperimentResult:
+        states = _grid_states(cfg, workers)[1]
+        other = [i for i in range(base.spec.d) if i != k - 1]
+        times = np.asarray(cfg.t_grid)
+        # One row per (t, coord): the (n_t, d-1) arrays below, read in C order.  A cell
+        # whose predicted variance is below beta has an empty rel_dev_var.
+        u = states[:, :, other] / np.sqrt(base.beta)
+        emp_mean, emp_var = u.mean(axis=1), u.var(axis=1, ddof=1)
+        mean_c, var_c = ou_mean_cov(ou, 0.0, times[:, None])
+        included = var_c >= base.beta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.abs(emp_var - var_c) / var_c
+        table = Table(
+            columns=("t", "coord", "emp_mean", "emp_var", "closed_mean", "closed_var",
+                     "rel_dev_var", "included"),
+            data=(np.repeat(times, len(other)), np.tile(np.add(other, 1), len(times)),
+                  emp_mean.ravel(), emp_var.ravel(), mean_c.ravel(), var_c.ravel(),
+                  np.where(included, rel, None).ravel(), included.ravel()),
+        )
+        summary = {
+            "max_rel_dev_var": float(rel[included].max(initial=0.0)),
+            "n_cells_included": int(included.sum()),
+            "beta": base.beta,
+            "k": int(k),
+            "n_chains": cfg.n_chains,
+            "sampler_note": GAUSSIAN_SAMPLER_NOTE,
+        }
+        echo = _config_echo(base, n_chains=int(cfg.n_chains), t_grid=list(cfg.t_grid), k=int(k))
+        return ExperimentResult("sde_covariance", {"table": table}, summary, echo)
+
+    return run
 
 
-def finite_sample_experiment(
-    spec: EigenSpectrum,
-    t_list,
-    n_chains: int,
-    seed: int,
-    sampler: str = "gaussian",
-    workers: int = 1,
-) -> ExperimentResult:
+def prepare_finite_sample(spec: EigenSpectrum, t_list, n_chains: int, seed: int,
+                          sampler: str = "gaussian"):
     """Terminal sin^2 at the tuned stepsize vs the predicted level, per horizon.
 
-    Each horizon T runs n_chains fresh uniform-start chains for T steps at
-    beta(T) = log T / (gap T) (independent master seed per horizon) and
-    reports the ratio of the empirical mean to the formula level.
+    Each horizon T (an integer >= 100) runs n_chains fresh uniform-start
+    chains for T steps at beta(T) = log T / (gap T) (independent master seed
+    per horizon) and reports the ratio of the empirical mean to the formula
+    level.
 
     Defaults to the Gaussian stream: the predicted level is the stationary
     variance of the local diffusion, which is calibrated to fourth moments
@@ -426,39 +404,51 @@ def finite_sample_experiment(
     meaningful for it.
     """
     _two_chains(n_chains)
-    bases = _finite_sample_bases(spec, t_list, seed, sampler)
-    horizons = [base.n_steps for base in bases]
-    # Terminal sin^2 of every chain, one row per horizon.
-    sin2 = np.array([
-        _sin2(run_ensemble_states(base, n_chains, np.array([base.n_steps]), workers=workers)[0])
-        for base in bases
-    ])
-    mean = sin2.mean(axis=1)
-    bound = np.array([rate_bound_sin2(spec, t) for t in horizons])
-    ratios = (mean / bound).tolist()
-    table = Table(
-        columns=("t_samples", "beta", "mean_sin2", "se_sin2", "bound_sin2", "ratio"),
-        data=(horizons, [base.beta for base in bases], mean,
-              sin2.std(axis=1, ddof=1) / np.sqrt(n_chains), bound, ratios),
-    )
-    summary = {
-        "ratios": ratios,
-        "min_ratio": min(ratios),
-        "max_ratio": max(ratios),
-        "spread": max(ratios) / min(ratios),
-        "n_chains": int(n_chains),
-        "sampler": sampler,
-    }
-    echo = _config_echo(spec=spec, t_list=horizons, n_chains=int(n_chains),
-                        seed=seed, sampler=sampler)
-    return ExperimentResult(
-        name="finite_sample", tables={"table": table}, summary=summary, config_echo=echo
-    )
+    with _blame("sampler"):
+        get_sampler(sampler)
+    with _blame("t_list"):  # beta(T) of a short horizon can break the bounded stream's cap
+        if not all(not isinstance(t, bool) and math.isfinite(t) and int(t) == t for t in t_list):
+            raise ValueError(f"horizons must be finite integers (not bools), got {t_list}")
+        horizons = [int(t) for t in t_list]
+        if not horizons or min(horizons) < 100:
+            raise ValueError(f"horizons must be a nonempty list of at least 100 samples each, "
+                             f"got {horizons}")
+        bases = [OjaConfig(spec=spec, beta=stepsize_rule(spec, t), n_steps=t, init="uniform",
+                           seed=derive_seed(seed, j), sampler=sampler)
+                 for j, t in enumerate(horizons)]
+
+    def run(workers: int = 1) -> ExperimentResult:
+        # Terminal sin^2 of every chain, one row per horizon.
+        sin2 = np.array([
+            _sin2(run_ensemble_states(base, n_chains, np.array([base.n_steps]),
+                                      workers=workers)[0])
+            for base in bases
+        ])
+        mean = sin2.mean(axis=1)
+        bound = np.array([rate_bound_sin2(spec, t) for t in horizons])
+        ratios = (mean / bound).tolist()
+        table = Table(
+            columns=("t_samples", "beta", "mean_sin2", "se_sin2", "bound_sin2", "ratio"),
+            data=(horizons, [base.beta for base in bases], mean,
+                  sin2.std(axis=1, ddof=1) / np.sqrt(n_chains), bound, ratios),
+        )
+        summary = {
+            "ratios": ratios,
+            "min_ratio": min(ratios),
+            "max_ratio": max(ratios),
+            "spread": max(ratios) / min(ratios),
+            "n_chains": int(n_chains),
+            "sampler": sampler,
+        }
+        echo = _config_echo(spec=spec, t_list=horizons, n_chains=int(n_chains),
+                            seed=seed, sampler=sampler)
+        return ExperimentResult("finite_sample", {"table": table}, summary, echo)
+
+    return run
 
 
-def phase_portrait_experiment(
-    cfg: EnsembleConfig, delta: float, k: Optional[int] = None, workers: int = 1
-) -> ExperimentResult:
+def prepare_phase_portrait(base: OjaConfig, n_chains: int, delta: float,
+                           k: Optional[int] = None):
     """Saddle-start ensemble: the crossings of every chain and the median sin^2 curve.
 
     The grid for recording is every ``record_stride``-th step of the base
@@ -466,46 +456,69 @@ def phase_portrait_experiment(
     summary holds median empirical crossings next to the predictions and the
     median terminal plateau (per-chain trailing-window mean at the horizon).
     """
-    base = cfg.base
-    k = _saddle_index(base, k)
-    thresholds = PhaseThresholds(delta=delta)
-    rec_steps = _record_steps(base.n_steps, base.resolved_stride())
-    states = run_ensemble_states(base, cfg.n_chains, rec_steps, workers=workers)
-    v1sq, sin2 = states[:, :, 0] ** 2, _sin2(states)  # (n_rec, n_chains) each
-    del states  # free the (n_rec, n_chains, d) block before the reductions allocate theirs
-    crossings = _detect_crossings(v1sq, sin2, rec_steps, base, thresholds.delta)
+    with _blame("n_chains"):
+        n_chains = _check_count("n_chains", n_chains)
+    with _blame("delta"):
+        delta = PhaseThresholds(delta=delta).delta
+    with _blame("k"):
+        k = _saddle_index(base, k)
 
-    quartiles = np.quantile(sin2, [0.25, 0.75], axis=1)
-    predicted = predict_crossings(base.spec, base.beta, delta, k)
-    # Plateau window: at least the detection window, but no shorter than 10%
-    # of the horizon, so the per-chain means average over several correlation
-    # times and their median is not skew-biased.
-    window = max(_trailing_window(base, rec_steps), len(rec_steps) // 10)
-    tail_mean = sin2[-window:].mean(axis=0)  # per-chain plateau estimate
+    def run(workers: int = 1) -> ExperimentResult:
+        rec_steps = _record_steps(base.n_steps, base.resolved_stride())
+        states = run_ensemble_states(base, n_chains, rec_steps, workers=workers)
+        v1sq, sin2 = states[:, :, 0] ** 2, _sin2(states)  # (n_rec, n_chains) each
+        del states  # free the (n_rec, n_chains, d) block before the reductions allocate theirs
+        crossings = _detect_crossings(v1sq, sin2, rec_steps, base, delta)
 
-    summary = {}
-    for name, col in zip(("n1", "n2", "n3"), crossings):
-        present = col[col >= 0]
-        summary[f"{name}_median_empirical"] = float(np.median(present)) if present.size else None
-        summary[f"n_detected_{name}"] = int(present.size)
-    summary.update({
-        "predicted": predicted.to_json_dict(),
-        "plateau_median": float(np.median(tail_mean)),
-        "stationary_sin2": stationary_sin2(base.spec, base.beta),
-        "delta": float(delta),
-        "k": k,
-    })
-    tables = {
-        "curve": Table(columns=("step", "median_sin2", "q25_sin2", "q75_sin2"),
-                       data=(rec_steps, np.median(sin2, axis=1), *quartiles)),
-        # A phase never reached (-1) is an empty cell.
-        "crossings": Table(columns=("chain", "n1", "n2", "n3"),
-                           data=(np.arange(cfg.n_chains),
-                                 *np.where(crossings < 0, None, crossings))),
-    }
-    return ExperimentResult(
-        name="phase_portrait",
-        tables=tables,
-        summary=summary,
-        config_echo=_config_echo(base, n_chains=int(cfg.n_chains), delta=float(delta), k=k),
-    )
+        quartiles = np.quantile(sin2, [0.25, 0.75], axis=1)
+        predicted = predict_crossings(base.spec, base.beta, delta, k)
+        # Plateau window: at least the detection window, but no shorter than 10%
+        # of the horizon, so the per-chain means average over several correlation
+        # times and their median is not skew-biased.
+        window = max(_trailing_window(base, rec_steps), len(rec_steps) // 10)
+        tail_mean = sin2[-window:].mean(axis=0)  # per-chain plateau estimate
+
+        summary = {}
+        for name, col in zip(("n1", "n2", "n3"), crossings):
+            present = col[col >= 0]
+            summary[f"{name}_median_empirical"] = (float(np.median(present)) if present.size
+                                                   else None)
+            summary[f"n_detected_{name}"] = int(present.size)
+        summary.update({
+            "predicted": predicted.to_json_dict(),
+            "plateau_median": float(np.median(tail_mean)),
+            "stationary_sin2": stationary_sin2(base.spec, base.beta),
+            "delta": float(delta),
+            "k": k,
+        })
+        tables = {
+            "curve": Table(columns=("step", "median_sin2", "q25_sin2", "q75_sin2"),
+                           data=(rec_steps, np.median(sin2, axis=1), *quartiles)),
+            # A phase never reached (-1) is an empty cell.
+            "crossings": Table(columns=("chain", "n1", "n2", "n3"),
+                               data=(np.arange(n_chains),
+                                     *np.where(crossings < 0, None, crossings))),
+        }
+        echo = _config_echo(base, n_chains=n_chains, delta=float(delta), k=k)
+        return ExperimentResult("phase_portrait", tables, summary, echo)
+
+    return run
+
+
+# Each experiment in one call: its prepare_*, run with the given workers.
+def ode_convergence_experiment(cfg: EnsembleConfig, workers: int = 1) -> ExperimentResult:
+    return prepare_ode_convergence(cfg)(workers)
+
+
+def sde_covariance_experiment(cfg: EnsembleConfig, k: int, workers: int = 1) -> ExperimentResult:
+    return prepare_sde_covariance(cfg, k)(workers)
+
+
+def finite_sample_experiment(spec: EigenSpectrum, t_list, n_chains: int, seed: int,
+                             sampler: str = "gaussian", workers: int = 1) -> ExperimentResult:
+    return prepare_finite_sample(spec, t_list, n_chains, seed, sampler)(workers)
+
+
+def phase_portrait_experiment(cfg: EnsembleConfig, delta: float, k: Optional[int] = None,
+                              workers: int = 1) -> ExperimentResult:
+    return prepare_phase_portrait(cfg.base, cfg.n_chains, delta, k)(workers)

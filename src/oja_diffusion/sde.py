@@ -210,9 +210,10 @@ def _grid_states(u0: np.ndarray, t_grid, dt: float, n_paths: int, seed, coeffs):
     if n_paths < 2:
         raise ValueError(f"need at least two paths, got {n_paths}")
     rng, _ = _rng_from(seed)
-    grid_steps = np.round(np.asarray(t_grid, dtype=float) / dt).astype(int)
-    if grid_steps.size == 0 or np.any(grid_steps < 0):
-        raise ValueError("t_grid must be a nonempty list of nonnegative times")
+    grid = np.round(np.asarray(t_grid, dtype=float) / dt)
+    if grid.size == 0 or not np.all((grid >= 0.0) & (grid < np.inf)):  # NaN fails both
+        raise ValueError("t_grid must be a nonempty list of finite nonnegative times")
+    grid_steps = grid.astype(int)
     rec_steps, sel = np.unique(grid_steps, return_inverse=True)
     states = _euler_maruyama(np.tile(u0, (n_paths, 1)), rec_steps, dt, coeffs, rng)
     return grid_steps * dt, states, sel

@@ -1,6 +1,8 @@
 """Ensemble engine determinism and the four canned experiments."""
 
+import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from oja_diffusion import (
     finite_sample_experiment,
     logistic_solution,
     make_spectrum,
+    montecarlo,
     ode_convergence_experiment,
     ou_mean_cov,
     phase_portrait_experiment,
@@ -23,7 +26,16 @@ from oja_diffusion import (
     sde_covariance_experiment,
     stepsize_rule,
 )
-from oja_diffusion.montecarlo import Table, _worker_count, grid_to_steps
+from oja_diffusion.montecarlo import (
+    FieldError,
+    Table,
+    _worker_count,
+    grid_to_steps,
+    prepare_finite_sample,
+    prepare_ode_convergence,
+    prepare_phase_portrait,
+    prepare_sde_covariance,
+)
 from oja_diffusion.oja import _CSV_CHUNK, Trajectory, _sin2, record_steps
 from oja_diffusion.phases import detect_phases
 from oja_diffusion.sde import OuSpec
@@ -40,6 +52,7 @@ def test_grid_to_steps():
     np.testing.assert_array_equal(grid_to_steps([0.0005], 1e-3, 2000), [0])
 
 
+@pytest.mark.filterwarnings("error")  # NaN cast to an integer only warns
 def test_ensemble_config_validation():
     base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=1000)
     with pytest.raises(ValueError, match="n_chains"):
@@ -50,6 +63,9 @@ def test_ensemble_config_validation():
         EnsembleConfig(base=base, n_chains=5, t_grid=(1.0, 0.5))
     with pytest.raises(ValueError, match="n_steps"):
         EnsembleConfig(base=base, n_chains=5, t_grid=(5.0,))
+    for bad in ((math.nan,), (0.5, math.nan), (math.inf,)):
+        with pytest.raises(ValueError, match="finite"):
+            EnsembleConfig(base=base, n_chains=5, t_grid=bad)
 
 
 def test_ensemble_worker_invariance():
@@ -355,3 +371,73 @@ def test_crossing_report_and_experiments_share_one_config_echo(sampler):
     assert portrait.config_echo == {**chain, "n_chains": 3, "delta": 0.25, "k": 2}
     flow = ode_convergence_experiment(ens)
     assert flow.config_echo == {**chain, "n_chains": 3, "t_grid": [1.0]}
+
+
+# Valid chain configs for the prepare_* contract below.
+WARM = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=100, init="warm:0.75", seed=1)
+AT_E1 = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=100, init="saddle:1", seed=1, sampler="gaussian")
+NEAR_E2 = replace(AT_E1, init="near_saddle:2:1e-4")
+
+
+def _ens(base, n_chains=4):
+    return EnsembleConfig(base=base, n_chains=n_chains, t_grid=(0.05,))
+
+
+# (config key a bad input names, or None for valid inputs; the prepare call), by id
+PREPARE_CASES = {
+    "ode_convergence": (None, lambda: prepare_ode_convergence(_ens(WARM))),
+    "sde_covariance": (None, lambda: prepare_sde_covariance(_ens(AT_E1), 1)),
+    "finite_sample": (None, lambda: prepare_finite_sample(SPEC2, [100, 300.0], 2, seed=1)),
+    "phase_portrait-one-chain": (None, lambda: prepare_phase_portrait(NEAR_E2, 1, 0.25)),
+    "ode_convergence-one-chain": ("n_chains", lambda: prepare_ode_convergence(_ens(WARM, 1))),
+    "sde_covariance-one-chain": ("n_chains",
+                                 lambda: prepare_sde_covariance(_ens(AT_E1, 1), 1)),
+    "finite_sample-one-chain": ("n_chains",
+                                lambda: prepare_finite_sample(SPEC2, [100], 1, seed=1)),
+    "phase_portrait-no-chains": ("n_chains", lambda: prepare_phase_portrait(NEAR_E2, 0, 0.25)),
+    "ode_convergence-random-init": (
+        "init", lambda: prepare_ode_convergence(_ens(replace(WARM, init="uniform")))),
+    "ode_convergence-equator-init": (
+        "init", lambda: prepare_ode_convergence(_ens(replace(WARM, init="saddle:2")))),
+    "sde_covariance-random-init": ("init", lambda: prepare_sde_covariance(_ens(NEAR_E2), 2)),
+    "sde_covariance-init-not-e_k": ("init", lambda: prepare_sde_covariance(_ens(AT_E1), 2)),
+    "sde_covariance-bounded": (
+        "sampler", lambda: prepare_sde_covariance(_ens(replace(AT_E1, sampler="bounded")), 1)),
+    "finite_sample-unknown-sampler": (
+        "sampler", lambda: prepare_finite_sample(SPEC2, [100], 2, seed=1, sampler="foo")),
+    "fractional-t_list": ("t_list", lambda: prepare_finite_sample(SPEC2, [1000.7], 2, seed=1)),
+    "bool-t_list": ("t_list", lambda: prepare_finite_sample(SPEC2, [True, 100], 2, seed=1)),
+    "short-t_list": ("t_list", lambda: prepare_finite_sample(SPEC2, [100, 99], 2, seed=1)),
+    "empty-t_list": ("t_list", lambda: prepare_finite_sample(SPEC2, [], 2, seed=1)),
+    "inf-t_list": ("t_list", lambda: prepare_finite_sample(SPEC2, [math.inf], 2, seed=1)),
+    "nan-t_list": ("t_list", lambda: prepare_finite_sample(SPEC2, [100, math.nan], 2, seed=1)),
+    "t_list-bounded-cap": ("t_list", lambda: prepare_finite_sample(
+        make_spectrum([1.0, 0.99]), [100], 2, seed=1, sampler="bounded")),
+    "delta-0.5": ("delta", lambda: prepare_phase_portrait(NEAR_E2, 4, 0.5)),
+    "nan-delta": ("delta", lambda: prepare_phase_portrait(NEAR_E2, 4, math.nan)),
+    "k-1": ("k", lambda: prepare_phase_portrait(NEAR_E2, 4, 0.25, k=1)),
+    "text-k": ("k", lambda: prepare_phase_portrait(NEAR_E2, 4, 0.25, k="2")),
+    "k-unnamed-by-init": (
+        "k", lambda: prepare_phase_portrait(replace(NEAR_E2, init="uniform"), 4, 0.25)),
+}
+
+
+@pytest.mark.parametrize("field, prepare", PREPARE_CASES.values(), ids=PREPARE_CASES)
+def test_prepare_checks_every_input_and_simulates_nothing(monkeypatch, field, prepare):
+    # The CLI writes its manifest between prepare_* and run: every input check
+    # must be done, and no chain run, before run is called.
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulation called")
+
+    monkeypatch.setattr(montecarlo, "run_ensemble_states", simulate)
+    monkeypatch.setattr(montecarlo, "ensemble_summary", simulate)
+    if field is None:
+        run = prepare()
+        assert callable(run)
+        # run looks both names up at call time, where the benchmark's tracer patches them
+        with pytest.raises(AssertionError, match="simulation called"):
+            run()
+    else:
+        with pytest.raises(FieldError) as raised:
+            prepare()
+        assert raised.value.field == field

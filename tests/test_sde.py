@@ -111,11 +111,17 @@ def test_ou_ensemble_moments_match_closed_form():
         assert abs(var[j, 0] - cv[0]) <= 5 * se_var + 5 * dt * (cv[0] + 1)
 
 
+@pytest.mark.filterwarnings("error")  # NaN cast to an integer only warns
 def test_ou_ensemble_duplicate_grid_times():
     ou = OuSpec(spec=SPEC2, k=1)
     times, mean, var = ou_ensemble_moments(ou, 0.3, [1.0, 1.0], 1e-3, 50, seed=3)
     assert mean[0, 0] == mean[1, 0]
     assert var[0, 0] == var[1, 0]
+    for bad in ([0.1, math.nan], [math.inf], [-math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            ou_ensemble_moments(ou, 0.3, bad, 1e-3, 50, seed=3)
+    with pytest.raises(ValueError, match="finite"):
+        equator_ensemble_second_moment(SPEC2, 0.0, 0.1, [math.nan], 1e-3, 50, seed=3)
 
 
 def test_stationary_sin2_values():
