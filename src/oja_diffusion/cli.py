@@ -287,8 +287,6 @@ def cmd_run(cfg: dict, seed: int, workers: int):
 
 
 def cmd_ode(cfg: dict, seed: int, workers: int):
-    import numpy as np
-
     from .ode import logistic_solution, ode_crossing_time
     from .oja import Table, resolve_init
     from .spectrum import chain_rng, make_spectrum
@@ -304,7 +302,7 @@ def cmd_ode(cfg: dict, seed: int, workers: int):
 
     def run() -> dict:
         cols = ("t", *(f"v{i + 1}_sq" for i in range(spec.d)))
-        curve = np.array([logistic_solution(spec, v0, t) for t in grid.tolist()]) ** 2
+        curve = logistic_solution(spec, v0, grid) ** 2
         return {"ode_curve.csv": Table(columns=cols, data=(grid, *curve.T)),
                 "summary.json": summary}
 

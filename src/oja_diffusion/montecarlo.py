@@ -96,15 +96,16 @@ def grid_to_steps(t_grid, beta: float, n_steps: int) -> np.ndarray:
     if not np.all(np.isfinite(t_grid)):
         raise ValueError(f"grid times must be finite, got {t_grid.tolist()}")
     ratio = t_grid / beta
-    steps = np.floor(ratio + 1e-9 * np.maximum(1.0, np.abs(ratio))).astype(int)
+    # Compared as floats: a step past the integer range would not survive the cast.
+    steps = np.floor(ratio + 1e-9 * np.maximum(1.0, np.abs(ratio)))
     if np.any(steps < 0):
         raise ValueError("grid times must be nonnegative")
     if np.any(steps > n_steps):
         bad = float(t_grid[np.argmax(steps)])
         raise ValueError(
-            f"grid time {bad} maps to step {steps.max()} beyond n_steps={n_steps}"
+            f"grid time {bad} maps to step {steps.max():.15g} beyond n_steps={n_steps}"
         )
-    return steps
+    return steps.astype(int)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,7 +322,7 @@ def prepare_ode_convergence(cfg: EnsembleConfig):
 
     def run(workers: int = 1) -> ExperimentResult:
         summ = ensemble_summary(cfg, workers=workers)
-        ode_v1sq = np.array([logistic_solution(cfg.base.spec, v0, t)[0] for t in cfg.t_grid]) ** 2
+        ode_v1sq = logistic_solution(cfg.base.spec, v0, cfg.t_grid)[:, 0] ** 2
         abs_diff = np.abs(summ.mean_v1sq - ode_v1sq)
         table = Table(
             columns=("t", "step", "mean_v1sq", "ode_v1sq", "abs_diff", "se_v1sq"),

@@ -47,13 +47,17 @@ def ode_rhs(spec: EigenSpectrum, v: np.ndarray) -> np.ndarray:
     return (lam - rayleigh) * v
 
 
-def logistic_solution(spec: EigenSpectrum, v0: np.ndarray, t: float) -> np.ndarray:
-    """Closed-form flow at time t >= 0 from unit vector v0.
+def logistic_solution(spec: EigenSpectrum, v0: np.ndarray, t) -> np.ndarray:
+    """Closed-form flow at time t >= 0 from unit vector v0; an array of times gives (n_t, d).
 
-    Stable for large t: exponents are shifted by the largest eigenvalue
-    carried by a nonzero coordinate of v0, so entries only ever underflow
-    toward zero and the normalizing sum keeps a Theta(1) leading term.
+    A row is bit for bit the state for its time alone.  Stable for large t:
+    exponents are shifted by the largest eigenvalue carried by a nonzero
+    coordinate of v0, so entries only ever underflow toward zero and the
+    normalizing sum keeps a Theta(1) leading term.
     """
+    t = np.asarray(t, dtype=float)
+    if not all(0.0 <= x < math.inf for x in t.ravel().tolist()):  # NaN fails too
+        raise ValueError(f"t must be finite and nonnegative, got {t.tolist()}")
     v0 = np.asarray(v0, dtype=float)
     support = v0 != 0.0
     if not support.any():
@@ -62,9 +66,10 @@ def logistic_solution(spec: EigenSpectrum, v0: np.ndarray, t: float) -> np.ndarr
     # in v0 and only on its support: off-support coordinates stay zero instead
     # of multiplying an overflowing exponential by zero.
     lam = spec.lambdas[support]
-    w = np.zeros_like(v0)
-    w[support] = v0[support] * np.exp((lam - float(lam.max())) * t)
-    return w / math.sqrt(w @ w)
+    w = np.zeros(t.shape + v0.shape)
+    w[..., support] = v0[support] * np.exp((lam - float(lam.max())) * t[..., None])
+    # One (1, d) @ (d, 1) product per row sums w.w in the order of the 1-D w @ w.
+    return w / np.sqrt(w[..., None, :] @ w[..., :, None])[..., 0]
 
 
 def integrate_rk4(spec: EigenSpectrum, v0: np.ndarray, t_end: float, dt: float) -> np.ndarray:

@@ -51,9 +51,10 @@ For the bounded stream it uses the closed form: each draw
 +/- sqrt(tr) e_i only scales coordinate i by 1 + beta tr, so the updates
 commute and the state after n steps is v_0 * (1 + beta tr)^c(n), normalised,
 where c(n) counts the draws of each axis (the discrete form of the logistic
-flow).  It agrees with the step loop to about 1e-14 per coordinate.  After
-each sample block the kernel checks the states recorded in it (finite, unit
-norm within 1e-11) and raises ``FloatingPointError`` when one is not.
+flow).  It agrees with the step loop to about 1e-14 per coordinate.  One
+block walk runs both streams, and the Euler-Maruyama SDEs of ``sde`` too: after
+each block it checks the states recorded in it (here finite, unit norm within
+1e-11; there finite) and raises ``FloatingPointError`` when one is not.
 """
 
 from __future__ import annotations
@@ -489,9 +490,7 @@ def _step_loop(base: OjaConfig, rngs: list, v: np.ndarray):
                         out=ys[:blk, :, lo:lo + len(chunk)])
         # A record keeps w as it is; all of them are divided by their norms
         # after the block, through the same tree as in the loop.
-        rows = dest.transpose(0, 2, 1)
-        marks = offsets.tolist()
-        j = 0
+        rows = dict(zip(offsets.tolist(), dest.transpose(0, 2, 1)))
         for step, y in enumerate(ys[:blk], 1):
             mul(w, y, prod)
             for a, b in folds:
@@ -499,16 +498,15 @@ def _step_loop(base: OjaConfig, rngs: list, v: np.ndarray):
             mul(s2, beta, s2)
             mul(s, y, sy)
             add(w, sy, w)
-            if j < len(marks) and marks[j] == step:
-                rows[j] = w
-                j += 1
+            if step in rows:
+                rows[step][...] = w
             if step % k == 0:
                 mul(w, w, prod)
                 for a, b in folds:
                     add(a, b, a)
                 sqrt(s2, s2)
                 div(w, s, w)
-        if marks:
+        if rows:
             sq = mul(dest, dest)
             for a, b in _pairwise_folds(np.moveaxis(sq, -1, 0)):
                 add(a, b, a)
@@ -566,6 +564,28 @@ def _axis_counts(base: OjaConfig, rngs: list, v0: np.ndarray):
     return advance
 
 
+def _walk_blocks(v0: np.ndarray, rec_steps: np.ndarray, block: int, advance, bad, fault: str,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """States (n_rec,) + v0.shape from v0 at strictly increasing ``rec_steps`` (into ``out``).
+
+    ``advance(blk, offsets, dest)`` takes the next ``blk`` steps, at most ``block``, and
+    writes the states after its steps ``offsets`` (1..blk) into ``dest``; when ``bad(dest)``,
+    ``FloatingPointError(fault.format(step=...))`` names the block's last step.
+    """
+    if out is None:
+        out = np.empty((len(rec_steps),) + v0.shape)
+    pos = int(rec_steps[0] == 0)
+    out[:pos] = v0
+    last = int(rec_steps[-1])
+    for start in range(0, last, block):
+        blk = min(block, last - start)
+        first, pos = pos, int(np.searchsorted(rec_steps, start + blk, side="right"))
+        advance(blk, rec_steps[first:pos] - start, out[first:pos])
+        if bad(out[first:pos]):
+            raise FloatingPointError(fault.format(step=start + blk))
+    return out
+
+
 def _run_lockstep(base: OjaConfig, chains: range, rec_steps: np.ndarray,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Run chains ``chains`` of ``base`` in lockstep: states (n_rec, n_chains, d).
@@ -582,24 +602,12 @@ def _run_lockstep(base: OjaConfig, chains: range, rec_steps: np.ndarray,
     """
     rngs = [chain_rng(base.seed, i) for i in chains]
     v = np.array([resolve_init(base.spec, base.init, rng) for rng in rngs])
-    if out is None:
-        out = np.empty((len(rec_steps), len(rngs), base.spec.d))
     advance = (_axis_counts if base.sampler == "bounded" else _step_loop)(base, rngs, v)
-    pos = int(rec_steps[0] == 0)
-    out[:pos] = v
-    last = int(rec_steps[-1])
-    for start in range(0, last, SAMPLE_BLOCK):
-        blk = min(SAMPLE_BLOCK, last - start)
-        first = pos
-        pos = int(np.searchsorted(rec_steps, start + blk, side="right"))
-        advance(blk, rec_steps[first:pos] - start, out[first:pos])
-        if _off_sphere(out[first:pos], 1e-11):
-            raise FloatingPointError(
-                f"chain states left the unit sphere by step {start + blk} (non-finite, or "
-                f"squared norm off 1 by more than 1e-11); beta={base.beta} is likely too "
-                f"large for the '{base.sampler}' stream"
-            )
-    return out
+    fault = (f"chain states left the unit sphere by step {{step}} (non-finite, or squared norm "
+             f"off 1 by more than 1e-11); beta={base.beta} is likely too large for the "
+             f"'{base.sampler}' stream")
+    return _walk_blocks(v, rec_steps, SAMPLE_BLOCK, advance, lambda s: _off_sphere(s, 1e-11),
+                        fault, out)
 
 
 def _sin2(states: np.ndarray) -> np.ndarray:

@@ -28,11 +28,12 @@ whose unstable growth out of U(0) = sqrt(beta) chi seeds the Phase I escape
 law exposed by :func:`phase1_exit_law`.
 
 Both SDEs have the form dU = b(t) U dt + c(t) dB and are simulated by one
-Euler-Maruyama loop over an (n_paths, m) array driven by one generator: the
-OU block with b = -a_i and c = sqrt(lambda_k lambda_i), the equator overlap
-with b = lambda_1 - L(V(t)) and c = (lambda_1 L(V(t)))^{1/2}.  A single path
-is an ensemble of one recorded at every step; an ensemble records only its
-distinct grid steps and reduces them to moments.
+Euler-Maruyama step over an (n_paths, m) array, run by the chain's block walk:
+the OU block with b = -a_i and c = sqrt(lambda_k lambda_i), the equator
+overlap with b = lambda_1 - L(V(t)) and c = (lambda_1 L(V(t)))^{1/2}.  A
+recorded state that is not finite raises ``FloatingPointError``.  A single
+path is an ensemble of one recorded at every step; an ensemble records only
+its distinct grid steps and reduces them to moments.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .spectrum import EigenSpectrum, chain_rng, _check_seed
+from .oja import SAMPLE_BLOCK, _DRAW_TILE, _walk_blocks
+from .spectrum import EigenSpectrum, chain_rng
 
 __all__ = [
     "OuSpec",
@@ -162,61 +164,56 @@ def _check_dt(spec: EigenSpectrum, dt: float) -> float:
     return dt
 
 
-def _rng_from(seed) -> tuple[np.random.Generator, Optional[int]]:
-    if isinstance(seed, np.random.Generator):
-        return seed, None
-    _check_seed(seed)
-    return chain_rng(seed), int(seed)
-
-
-def _euler_maruyama(u: np.ndarray, rec_steps: np.ndarray, dt: float, coeffs, rng) -> np.ndarray:
+def _euler_maruyama(u: np.ndarray, rec_steps: np.ndarray, dt: float, coeffs, seed) -> np.ndarray:
     """Lockstep Euler-Maruyama paths u <- u + b(t) u dt + c(t) sqrt(dt) xi.
 
-    ``u`` holds the (n_paths, m) initial states and ``coeffs(t)`` gives the
-    drift and noise coefficients (b, c) at t = step * dt, each a scalar or a
-    length-m vector.  One generator supplies every xi, path-major within a
-    step.  Returns the states after each of the sorted, unique ``rec_steps``,
-    shape (n_rec, n_paths, m); the run stops at the last of them.
+    ``u`` holds the (n_paths, m) initial states and ``coeffs(t)`` gives (b, c)
+    at t = step * dt, each a scalar or a length-m vector.  A block's xi, drawn
+    as one draw per step would, fill one reused buffer (new ones cost page
+    faults), and each step's states overwrite its noise.  Returns the
+    (n_rec, n_paths, m) states after the sorted, unique ``rec_steps``.
     """
-    out = np.empty((len(rec_steps),) + u.shape)
-    root_dt = math.sqrt(dt)
-    pos = 0
-    for step in range(int(rec_steps[-1]) + 1):
-        if step:
-            b, c = coeffs((step - 1) * dt)
-            u = u + b * u * dt + c * root_dt * rng.standard_normal(u.shape)
-        if step == rec_steps[pos]:
-            out[pos] = u
-            pos += 1
-    return out
+    rng = seed if isinstance(seed, np.random.Generator) else chain_rng(seed)
+    root_dt, done = math.sqrt(dt), 0
+    block = max(1, min(SAMPLE_BLOCK, _DRAW_TILE * SAMPLE_BLOCK // u.size))
+    noise = np.empty((block,) + u.shape)
+
+    def advance(blk: int, offsets: np.ndarray, dest: np.ndarray) -> None:
+        nonlocal u, done
+        xi = rng.standard_normal(out=noise[:blk])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in xi:
+                b, c = coeffs(done * dt)
+                np.add(u + b * u * dt, c * root_dt * x, x)
+                u = x
+                done += 1
+        dest[...] = xi[offsets - 1]
+        u = u.copy()  # the next block's draws overwrite xi
+
+    fault = f"Euler-Maruyama paths are not finite by step {{step}} (dt={dt})"
+    return _walk_blocks(u, rec_steps, block, advance, lambda s: not np.isfinite(s).all(), fault)
 
 
 def _single_path(u0: np.ndarray, t_end: float, dt: float, seed, coeffs) -> OuPath:
     """One path from the (m,) state u0, recorded at every step up to t_end."""
     if t_end < 0.0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
-    rng, seed_out = _rng_from(seed)
     steps = np.arange(int(round(t_end / dt)) + 1)
-    states = _euler_maruyama(u0[None, :], steps, dt, coeffs, rng)[:, 0]
-    return OuPath(times=steps * dt, states=states, seed=seed_out)
+    states = _euler_maruyama(u0[None, :], steps, dt, coeffs, seed)[:, 0]
+    return OuPath(times=steps * dt, states=states,
+                  seed=None if isinstance(seed, np.random.Generator) else int(seed))
 
 
 def _grid_states(u0: np.ndarray, t_grid, dt: float, n_paths: int, seed, coeffs):
-    """n_paths lockstep paths from u0 observed on ``t_grid`` snapped to the step grid.
-
-    Returns (snapped times, states at each distinct grid step, and the index
-    of each grid time into those states).
-    """
+    """Snapped times, states at the distinct steps and each time's index, of n_paths paths."""
     if n_paths < 2:
         raise ValueError(f"need at least two paths, got {n_paths}")
-    rng, _ = _rng_from(seed)
     grid = np.round(np.asarray(t_grid, dtype=float) / dt)
-    if grid.size == 0 or not np.all((grid >= 0.0) & (grid < np.inf)):  # NaN fails both
-        raise ValueError("t_grid must be a nonempty list of finite nonnegative times")
-    grid_steps = grid.astype(int)
-    rec_steps, sel = np.unique(grid_steps, return_inverse=True)
-    states = _euler_maruyama(np.tile(u0, (n_paths, 1)), rec_steps, dt, coeffs, rng)
-    return grid_steps * dt, states, sel
+    if grid.size == 0 or not np.all((grid >= 0.0) & (grid < 2.0**63)):  # NaN fails both
+        raise ValueError("t_grid must be a nonempty list of finite nonnegative times < 2**63 dt")
+    rec_steps, sel = np.unique(grid.astype(int), return_inverse=True)
+    states = _euler_maruyama(np.tile(u0, (n_paths, 1)), rec_steps, dt, coeffs, seed)
+    return grid * dt, states, sel
 
 
 def _ou_coeffs(ou: OuSpec, scale: float):
@@ -233,8 +230,8 @@ def simulate_ou(
     generator.  ``diffusion_scale=0`` switches the noise off, leaving the
     exact exponential mean flow for step-level verification.
     """
-    _check_dt(ou.spec, dt)
-    return _single_path(_as_u0(ou, u0), t_end, dt, seed, _ou_coeffs(ou, float(diffusion_scale)))
+    return _single_path(_as_u0(ou, u0), t_end, _check_dt(ou.spec, dt), seed,
+                        _ou_coeffs(ou, float(diffusion_scale)))
 
 
 def ou_ensemble_moments(ou: OuSpec, u0, t_grid, dt: float, n_paths: int, seed):
@@ -244,12 +241,9 @@ def ou_ensemble_moments(ou: OuSpec, u0, t_grid, dt: float, n_paths: int, seed):
     step grid.  One generator drives all paths in lockstep, so the result is
     deterministic for a given seed but individual paths are not addressable.
     """
-    _check_dt(ou.spec, dt)
-    coeffs = _ou_coeffs(ou, 1.0)
-    times, states, sel = _grid_states(_as_u0(ou, u0), t_grid, dt, n_paths, seed, coeffs)
-    means = np.array([u.mean(axis=0) for u in states])
-    varis = np.array([u.var(axis=0, ddof=1) for u in states])
-    return times, means[sel], varis[sel]
+    times, states, sel = _grid_states(_as_u0(ou, u0), t_grid, _check_dt(ou.spec, dt), n_paths,
+                                      seed, _ou_coeffs(ou, 1.0))
+    return times, states.mean(axis=1)[sel], states.var(axis=1, ddof=1)[sel]
 
 
 def stationary_sin2(spec: EigenSpectrum, beta: float) -> float:
@@ -347,11 +341,7 @@ PathLike = Union[np.ndarray, Callable[[float], np.ndarray]]
 
 def _equator_coeffs(spec: EigenSpectrum, v_path: PathLike, scale: float):
     """(lambda_1 - L(V(t)), scale sqrt(lambda_1 L(V(t)))) along the frozen path."""
-    if callable(v_path):
-        path = v_path
-    else:
-        arr = np.asarray(v_path, dtype=float)
-        path = lambda t: arr
+    path = v_path if callable(v_path) else (lambda t: v_path)
     lam1 = float(spec.lambdas[0])
 
     def coeffs(t):
@@ -376,16 +366,14 @@ def simulate_equator_sde(
     constant vector.  With a constant path V == e_k this is exactly the
     unstable OU with rate lambda_1 - lambda_k and noise sqrt(lambda_1 lambda_k).
     """
-    _check_dt(spec, dt)
     coeffs = _equator_coeffs(spec, v_path, float(diffusion_scale))
-    return _single_path(np.array([float(u0)]), t_end, dt, seed, coeffs)
+    return _single_path(np.array([float(u0)]), t_end, _check_dt(spec, dt), seed, coeffs)
 
 
 def equator_ensemble_second_moment(
     spec: EigenSpectrum, v_path: PathLike, u0: float, t_grid, dt: float, n_paths: int, seed
 ):
     """E[U^2(t)] over n_paths lockstep paths of the equator SDE."""
-    _check_dt(spec, dt)
-    coeffs = _equator_coeffs(spec, v_path, 1.0)
-    times, states, sel = _grid_states(np.array([float(u0)]), t_grid, dt, n_paths, seed, coeffs)
-    return times, np.array([float(np.mean(u * u)) for u in states])[sel]
+    times, states, sel = _grid_states(np.array([float(u0)]), t_grid, _check_dt(spec, dt), n_paths,
+                                      seed, _equator_coeffs(spec, v_path, 1.0))
+    return times, (states * states).mean(axis=(1, 2))[sel]

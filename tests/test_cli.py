@@ -297,6 +297,16 @@ def test_sde_subcommand(tmp_path):
     assert len(path_rows) == 1002
 
 
+def test_overflowing_sde_is_exit_1_with_only_the_manifest(tmp_path, capsys):
+    # Around the bottom axis the overlap grows like e^t and overflows near t = 710.
+    cfg = write_cfg(tmp_path, {"spec": [2, 1], "k": 2, "dt": 5e-3, "t_end": 800,
+                               "n_paths": 10})
+    out = tmp_path / "out"
+    assert main(["sde", "--config", cfg, "--out", str(out)]) == 1
+    assert "FloatingPointError" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
 def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"spec": [2.0, 1.0], "t_end": 1.0, "dt": 0.5})
     assert main(["sde", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

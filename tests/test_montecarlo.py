@@ -66,6 +66,9 @@ def test_ensemble_config_validation():
     for bad in ((math.nan,), (0.5, math.nan), (math.inf,)):
         with pytest.raises(ValueError, match="finite"):
             EnsembleConfig(base=base, n_chains=5, t_grid=bad)
+    # a finite time whose step count no integer holds
+    with pytest.raises(ValueError, match="beyond n_steps"):
+        EnsembleConfig(base=base, n_chains=5, t_grid=(0.5, 1e300))
 
 
 def test_ensemble_worker_invariance():

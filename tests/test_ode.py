@@ -80,6 +80,17 @@ def test_logistic_equator_start_stays_put_at_huge_t():
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_logistic_times_must_be_finite_and_nonnegative():
+    v0 = np.array([0.6, 0.8])
+    assert logistic_solution(SPEC2, v0, 1.0).shape == (2,)
+    assert logistic_solution(SPEC2, v0, [0.0, 1.0, 2.0]).shape == (3, 2)
+    assert logistic_solution(SPEC2, v0, []).shape == (0, 2)
+    for bad in (-1.0, math.nan, math.inf, [0.5, -1e-300], [1.0, math.nan]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            logistic_solution(SPEC2, v0, bad)
+
+
 def test_logistic_top_overlap_is_monotone():
     v0 = np.array([0.1, 0.99498743710662])
     ts = np.linspace(0.0, 10.0, 40)
@@ -174,6 +185,9 @@ def test_flow_solvers_are_bit_identical_to_the_reference_formulas(d):
         for t in (0.0, 0.37, 5.0, 81.0, 500.0):
             np.testing.assert_array_equal(logistic_solution(sp, v0, t),
                                           _logistic_reference(sp, v0, t))
+        times = (0.0, 0.37, 5.0, 81.0, 500.0)
+        np.testing.assert_array_equal(logistic_solution(sp, v0, np.array(times)),
+                                      [_logistic_reference(sp, v0, t) for t in times])
         if i < 3:
             dt = 1e-2 / lam[0]
             np.testing.assert_array_equal(integrate_rk4(sp, v0, 1.23, dt),

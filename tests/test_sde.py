@@ -1,6 +1,7 @@
 """Local OU limits, stationary fluctuation levels, escape law, equator SDE."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from oja_diffusion import (
     simulate_ou,
     stationary_sin2,
 )
+from oja_diffusion.oja import SAMPLE_BLOCK, _DRAW_TILE
+from oja_diffusion.sde import _equator_coeffs, _euler_maruyama, _ou_coeffs
 
 SPEC2 = make_spectrum([2.0, 1.0])
 
@@ -122,6 +125,9 @@ def test_ou_ensemble_duplicate_grid_times():
             ou_ensemble_moments(ou, 0.3, bad, 1e-3, 50, seed=3)
     with pytest.raises(ValueError, match="finite"):
         equator_ensemble_second_moment(SPEC2, 0.0, 0.1, [math.nan], 1e-3, 50, seed=3)
+    # a finite time whose step count no integer holds
+    with pytest.raises(ValueError, match="t_grid"):
+        ou_ensemble_moments(ou, 0.3, [1e300], 1e-3, 50, seed=3)
 
 
 def test_stationary_sin2_values():
@@ -226,3 +232,94 @@ def test_equator_second_moment_matches_unstable_ou():
         # Var(U^2) = 2 var^2 + 4 mean^2 var for a gaussian U
         se = math.sqrt((2 * var**2 + 4 * mean**2 * var) / m)
         assert abs(second[j] - closed) <= 5 * se + 5 * dt * (closed + 1)
+
+
+def _euler_maruyama_reference(u, rec_steps, dt, coeffs, rng):
+    # _euler_maruyama as a step loop with its own record cursor, one draw per step
+    out = np.empty((len(rec_steps),) + u.shape)
+    root_dt = math.sqrt(dt)
+    pos = 0
+    for step in range(int(rec_steps[-1]) + 1):
+        if step:
+            b, c = coeffs((step - 1) * dt)
+            u = u + b * u * dt + c * root_dt * rng.standard_normal(u.shape)
+        if step == rec_steps[pos]:
+            out[pos] = u
+            pos += 1
+    return out
+
+
+def _edge_steps(u, n_blocks):
+    # Record steps on both sides of the first block edges, and a last step
+    # inside block n_blocks + 1.
+    blk = min(SAMPLE_BLOCK, _DRAW_TILE * SAMPLE_BLOCK // u.size)
+    edges = [0, 1, blk - 1, blk, blk + 1, 2 * blk - 1, 2 * blk + 1, n_blocks * blk + blk // 2]
+    return blk, np.unique(edges)
+
+
+@pytest.mark.parametrize("u, coeffs, n_blocks", [
+    # one OU path; blocks of SAMPLE_BLOCK steps
+    (np.array([[0.3, -0.1]]), _ou_coeffs(OuSpec(spec=make_spectrum([3.0, 2.0, 1.0]), k=2), 1.0), 3),
+    # 2000 paths of an m=4 OU block; the noise tile cap shortens the blocks
+    (np.full((2000, 4), 0.3), _ou_coeffs(OuSpec(spec=make_spectrum([3, 2, 1.5, 1, 0.5]), k=1),
+                                         1.0), 4),
+    # the equator overlap along a constant path and along a callable that takes only floats
+    (np.array([[0.1]]), _equator_coeffs(make_spectrum([2.0, 1.0, 0.5]), np.array([0.0, 0.6, 0.8]),
+                                        1.0), 2),
+    (np.full((5, 1), 0.1), _equator_coeffs(make_spectrum([2.0, 1.0, 0.5]),
+                                           lambda t: np.array([0.0, math.cos(t), math.sin(t)]),
+                                           1.0), 2),
+], ids=["ou_path", "ou_ensemble", "equator_constant", "equator_callable"])
+def test_euler_maruyama_blocks_are_bit_identical_to_the_step_loop(u, coeffs, n_blocks):
+    blk, steps = _edge_steps(u, n_blocks)
+    assert steps[-1] > n_blocks * blk
+    for seed in (0, 1):
+        np.testing.assert_array_equal(
+            _euler_maruyama(u, steps, 1e-3, coeffs, chain_rng(seed)),
+            _euler_maruyama_reference(u, steps, 1e-3, coeffs, chain_rng(seed)))
+
+
+def test_single_paths_are_bit_identical_to_the_step_loop():
+    ou = OuSpec(spec=SPEC2, k=1)
+    path = simulate_ou(ou, 0.3, 2.5, 1e-3, seed=11)
+    steps = np.arange(2501)
+    ref = _euler_maruyama_reference(np.array([[0.3]]), steps, 1e-3, _ou_coeffs(ou, 1.0),
+                                    chain_rng(11))
+    np.testing.assert_array_equal(path.states, ref[:, 0])
+    sp = make_spectrum([2.0, 1.0, 0.5])
+
+    def vee(t):
+        return np.array([0.0, math.cos(t), math.sin(t)])
+
+    path = simulate_equator_sde(sp, vee, 0.1, 2.5, 1e-3, seed=4)
+    ref = _euler_maruyama_reference(np.array([[0.1]]), steps, 1e-3,
+                                    _equator_coeffs(sp, vee, 1.0), chain_rng(4))
+    np.testing.assert_array_equal(path.states, ref[:, 0])
+
+
+def test_ensemble_noise_is_drawn_in_bounded_tiles():
+    ou = OuSpec(spec=make_spectrum([3, 2, 1.5, 1, 0.5]), k=1)
+    tracemalloc.start()
+    try:
+        ou_ensemble_moments(ou, 0.3, [0.5, 1.0], 1e-3, 2000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+# Around the bottom axis of [1, 1e-6] the overlap grows at rate ~1, and
+# dt = 1e-2 is the largest step allowed: e^t overflows near t = 710.
+UNSTABLE = OuSpec(spec=make_spectrum([1.0, 1e-6]), k=2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_path_is_a_runtime_fault():
+    with pytest.raises(FloatingPointError, match="not finite by step"):
+        simulate_ou(UNSTABLE, 0.3, 750.0, 1e-2, seed=1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_ensemble_is_a_runtime_fault():
+    with pytest.raises(FloatingPointError, match="not finite by step"):
+        ou_ensemble_moments(UNSTABLE, 0.3, [1.0, 750.0], 1e-2, 10, seed=1)
