@@ -13,8 +13,12 @@ Subcommands: run, ode, sde, phases, mc, rates.  Each takes a JSON config via
    (spectrum, chain and ensemble configs, OU block, thresholds, grids, an
    input trajectory, the cutoff table); for ``mc`` that ends in the
    experiment's ``prepare_*``, which checks its inputs and returns its run.
-   A bad field is a ConfigError whose message names it; the exit code is 2
-   and nothing has been written, not even the output directory.
+   The library checks every field as written, in the object or call that
+   takes it; a value it only sees at run time (t_end, grid times, n_paths)
+   gets the same check here.  A bad field is a ConfigError, "config field
+   '<key>': <name> must be <kind> in <interval>, got <value>" for a number;
+   the exit code is 2 and nothing has been written, not even the output
+   directory.
 3. begin: manifest.json, naming the command, config, seed, tool version, the
    requested workers with the processes the run uses, and the time the
    first two steps took, is written atomically.
@@ -77,30 +81,6 @@ def _field(cfg: dict, key: str, convert=lambda v: v, default=_REQUIRED):
 
 
 # Converters for _field: each returns the parsed value or raises ValueError/TypeError.
-def _real(v) -> float:
-    if isinstance(v, bool):
-        raise TypeError(f"expected a number, got {v!r}")
-    return float(v)
-
-
-def _positive(v) -> float:
-    if not 0.0 < _real(v) < math.inf:
-        raise ValueError(f"must be a finite positive number, got {v!r}")
-    return float(v)
-
-
-def _time(v) -> float:
-    if not 0.0 <= _real(v) < math.inf:
-        raise ValueError(f"must be a finite nonnegative number, got {v!r}")
-    return float(v)
-
-
-def _count(v, least: int = 0) -> int:
-    if isinstance(v, bool) or int(v) != v or v < least:
-        raise ValueError(f"expected an integer >= {least}, got {v!r}")
-    return int(v)
-
-
 def _typed(kind: type):
     def check(v):
         if not isinstance(v, kind):
@@ -136,32 +116,36 @@ def _init(spec, init):
 
 
 def _grid(val):
-    """A list of times or a {"start", "stop", "num"} object, as an array of finite nonnegative floats."""
+    """A nonempty list of times or a {"start", "stop", "num"} object, as an array of times >= 0."""
     import numpy as np
 
+    from .spectrum import _check_count, _check_real
+
+    at = partial(_check_real, "t_grid", low=0.0)
     if isinstance(val, dict) and val.keys() >= {"start", "stop", "num"}:
-        grid = np.linspace(_time(val["start"]), _time(val["stop"]), _count(val["num"]))
-    elif isinstance(val, list):
-        grid = np.array([_time(t) for t in val], dtype=float)
-    else:
+        return np.linspace(at(val["start"]), at(val["stop"]), _check_count("num", val["num"]))
+    if not isinstance(val, list):
         raise TypeError(f"expected a list of times or a start/stop/num object, got {val!r}")
-    if grid.size == 0:
-        raise ValueError("grid must not be empty")
-    return grid
+    _check_count("number of t_grid times", len(val))
+    return np.array([at(t) for t in val])
 
 
 def _chain(cfg: dict, spec, seed: int, init="uniform", sampler="bounded", steps_for=None):
-    """The chain's OjaConfig; ``steps_for(beta)``, when given, is the default n_steps."""
+    """The chain's OjaConfig, checking each field as it is read; ``steps_for(beta)``, when
+    given, is the default n_steps.  The sampler comes last, as its stepsize cap blames beta."""
+    from dataclasses import replace
+
     from .oja import OjaConfig
 
-    beta = _field(cfg, "beta", _positive)
-    n_steps = _field(cfg, "n_steps", _count, _REQUIRED if steps_for is None else steps_for(beta))
+    chain = _field(cfg, "beta", lambda v: OjaConfig(spec=spec, beta=v, n_steps=0, seed=seed,
+                                                    sampler="gaussian"))
+    chain = _field(cfg, "n_steps", lambda v: replace(chain, n_steps=v),
+                   _REQUIRED if steps_for is None else steps_for(chain.beta))
     sampler = _field(cfg, "sampler", _sampler, sampler)
     init = _field(cfg, "init", lambda v: _init(spec, v), init)
-    stride = _field(cfg, "record_stride", _optional(lambda v: _count(v, 1)), None)
-    with _blame("beta"):  # all that is left to fail is the bounded stream's stepsize cap
-        return OjaConfig(spec=spec, beta=beta, n_steps=n_steps, init=init, seed=seed,
-                         sampler=sampler, record_stride=stride)
+    chain = _field(cfg, "record_stride", lambda v: replace(chain, record_stride=v), None)
+    with _blame("beta"):
+        return replace(chain, init=init, sampler=sampler)
 
 
 def _atomic_write(path: str, write) -> None:
@@ -295,7 +279,7 @@ def cmd_ode(cfg: dict, seed: int, workers: int):
     v0 = _field(cfg, "v0", lambda v: resolve_init(spec, v, chain_rng(seed, 0)))
     grid = _field(cfg, "t_grid", _grid)
     summary = {"d": spec.d, "t_max": float(grid.max())}
-    delta = _field(cfg, "delta", _optional(_real), None)
+    delta = _field(cfg, "delta", default=None)
     if delta is not None:
         with _blame("delta"):
             summary.update(delta=delta, crossing_time=ode_crossing_time(spec, v0, delta))
@@ -311,16 +295,20 @@ def cmd_ode(cfg: dict, seed: int, workers: int):
 
 def cmd_sde(cfg: dict, seed: int, workers: int):
     from .oja import Table
-    from .sde import OuSpec, _as_u0, _check_dt, ou_ensemble_moments, ou_mean_cov, simulate_ou
-    from .spectrum import make_spectrum
+    from .sde import OuSpec, _as_u0, _step_count, ou_ensemble_moments, ou_mean_cov, simulate_ou
+    from .spectrum import _check_count, _check_real, make_spectrum
 
     spec = _field(cfg, "spec", make_spectrum)
-    ou = _field(cfg, "k", lambda v: OuSpec(spec=spec, k=_count(v)), 1)
-    t_end = _field(cfg, "t_end", _time)
-    dt = _field(cfg, "dt", lambda v: _check_dt(spec, _real(v)))
+    ou = _field(cfg, "k", lambda v: OuSpec(spec=spec, k=v), 1)
+    t_end = _field(cfg, "t_end")
+    dt = _field(cfg, "dt", lambda v: _check_real("dt", v, 0.0, spec._max_dt, "(]"))
+    with _blame("t_end"):
+        _step_count(spec, "t_end", t_end, dt)
     u0 = _field(cfg, "u0", lambda v: _as_u0(ou, v), 0.0)
-    n_paths = _field(cfg, "n_paths", _count, 1000)
+    n_paths = _field(cfg, "n_paths", lambda v: _check_count("n_paths", v, 0), 1000)
     grid = _field(cfg, "t_grid", _grid, {"start": 0.0, "stop": t_end, "num": 11})
+    with _blame("t_grid"):
+        _step_count(spec, "t_grid", grid, dt)
 
     def run() -> dict:
         path = simulate_ou(ou, u0, t_end, dt, seed)
@@ -345,20 +333,21 @@ def cmd_phases(cfg: dict, seed: int, workers: int):
     from .oja import Table, _config_echo, trajectory_from_csv
     from .phases import (CrossingReport, EmpiricalCrossings, PhaseThresholds, crossing_report,
                          cutoff_ratios, predict_crossings)
-    from .spectrum import make_spectrum
+    from .spectrum import _check_real, make_spectrum
 
     spec = _field(cfg, "spec", make_spectrum)
-    beta = _field(cfg, "beta", _positive)
-    thresholds = _field(cfg, "delta", lambda v: PhaseThresholds(delta=_real(v)))
+    # Checked on its own: predict_crossings would blame a bad beta on k.
+    beta = _field(cfg, "beta", lambda v: _check_real("beta", v, 0.0, math.inf, "()"))
+    thresholds = _field(cfg, "delta", lambda v: PhaseThresholds(delta=v))
     delta = thresholds.delta
-    k = _field(cfg, "k", _count, 2)
+    k = _field(cfg, "k", default=2)
     with _blame("k"):
         predicted = predict_crossings(spec, beta, delta, k)
 
     def cutoff_table(betas) -> Table:
-        betas = [_positive(b) for b in _typed(list)(betas)]
-        ratios = np.array([cutoff_ratios(spec, b, delta, k) for b in betas]).reshape(-1, 2)
-        return Table(columns=("beta", "r21", "r31"), data=(betas, *ratios.T))
+        ratios = np.array([cutoff_ratios(spec, b, delta, k) for b in _typed(list)(betas)])
+        return Table(columns=("beta", "r21", "r31"),
+                     data=(np.array(betas, dtype=float), *ratios.reshape(-1, 2).T))
 
     cutoff = _field(cfg, "betas_for_cutoff", _optional(cutoff_table), None)
     traj = None
@@ -375,7 +364,7 @@ def cmd_phases(cfg: dict, seed: int, workers: int):
             report = CrossingReport(
                 empirical=EmpiricalCrossings(n1=None, n2=None, n3=None),
                 predicted=predicted,
-                config=_config_echo(spec=spec, beta=beta, delta=delta, k=k),
+                config=_config_echo(spec=spec, beta=beta, delta=delta, k=int(k)),
             )
         files = {"crossing_report.json": report.to_json_dict(),
                  "crossing_report.txt": report.to_text() + "\n"}
@@ -400,13 +389,13 @@ def cmd_mc(cfg: dict, seed: int, workers: int):
         raise ConfigError(f"config field 'experiment': unknown experiment {experiment!r}; "
                           f"expected one of {', '.join(_EXPERIMENTS)}")
     spec = _field(cfg, "spec", make_spectrum)
-    n_chains = _field(cfg, "n_chains", lambda v: _count(v, 1), 200)
+    n_chains = _field(cfg, "n_chains", default=200)
     if experiment == "finite_sample":
         prepare = partial(prepare_finite_sample, spec, _field(cfg, "t_list"), n_chains, seed,
                           _field(cfg, "sampler", default="gaussian"))
     elif experiment == "phase_portrait":
         base = _chain(cfg, spec, seed, init="saddle:2", sampler="gaussian")
-        prepare = partial(prepare_phase_portrait, base, n_chains, _field(cfg, "delta", _real),
+        prepare = partial(prepare_phase_portrait, base, n_chains, _field(cfg, "delta"),
                           _field(cfg, "k", default=None))
     else:
         grid = _field(cfg, "t_grid", _grid)
@@ -414,10 +403,11 @@ def cmd_mc(cfg: dict, seed: int, workers: int):
         if experiment == "ode_convergence":
             base = _chain(cfg, spec, seed, "warm:0.5", "bounded", steps_for)
         else:
-            k = _field(cfg, "k", lambda v: OuSpec(spec=spec, k=_count(v)).k, 1)
+            k = _field(cfg, "k", lambda v: OuSpec(spec=spec, k=v).k, 1)
             base = _chain(cfg, spec, seed, f"saddle:{k}", "gaussian", steps_for)
-        with _blame("t_grid"):
-            ens = EnsembleConfig(base=base, n_chains=n_chains, t_grid=tuple(grid))
+        with _blame("t_grid"):  # the grid alone, with a valid n_chains
+            EnsembleConfig(base, 1, tuple(grid))
+        ens = _field(cfg, "n_chains", lambda v: EnsembleConfig(base, v, tuple(grid)), 200)
         prepare = (partial(prepare_ode_convergence, ens) if experiment == "ode_convergence"
                    else partial(prepare_sde_covariance, ens, k))
     with _blame("experiment"):  # each check the experiment has names its own field
@@ -430,7 +420,7 @@ def cmd_mc(cfg: dict, seed: int, workers: int):
                                  "config": result.config_echo}
         return files
 
-    return run, _worker_count(workers, n_chains)
+    return run, _worker_count(workers, int(n_chains))
 
 
 def cmd_rates(cfg: dict, seed: int, workers: int):
@@ -438,9 +428,11 @@ def cmd_rates(cfg: dict, seed: int, workers: int):
     from .spectrum import make_spectrum
 
     spec = _field(cfg, "spec", make_spectrum)
-    b, sigma_star2 = (_field(cfg, key, _optional(_positive), None) for key in ("b", "sigma_star2"))
-    report = _field(cfg, "t_samples",
-                    lambda t: rate_report(spec, _real(t), b=b, sigma_star2=sigma_star2))
+    given = {}
+    for key, default in (("t_samples", _REQUIRED), ("b", None), ("sigma_star2", None)):
+        given[key] = _field(cfg, key, default=default)
+        with _blame(key):  # rate_report checks the fields given so far
+            report = rate_report(spec, **given)
 
     return (lambda: {"rate_report.json": report.to_json_dict(),
                      "rate_table.txt": report.to_text() + "\n"}), 1
@@ -512,11 +504,11 @@ outputs: rate_report.json, rate_table.txt"""),
 
 
 def _workers(text: str) -> int:
-    """The --workers value; argparse exits 2 naming the option unless it is at least 1."""
-    try:
-        return _count(int(text), 1)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
+    """The --workers value, at least 1, else argparse exits 2; plain Python, run before numpy."""
+    with contextlib.suppress(ValueError):
+        if int(text) >= 1:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -564,12 +556,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = args.out if args.out is not None else os.environ.get(ENV_OUT, "out")
     parse = _COMMANDS[args.command][0]
-    from .spectrum import _check_seed
+    from .spectrum import MAX_SEED, _check_count
 
     try:
         cfg = _load_config(args.config)
         seed = _field(cfg if args.seed is None else {"seed": args.seed}, "seed",
-                      lambda v: _check_seed(_count(v)), 0)
+                      lambda v: _check_count("seed", v, 0, MAX_SEED), 0)
         run, processes = parse(cfg, seed, args.workers)
         runner = _Runner(args.command, args.config, cfg, out_dir, seed, args.workers, processes,
                          started)

@@ -62,6 +62,7 @@ from .spectrum import (
     EigenSpectrum,
     GAUSSIAN_SAMPLER_NOTE,
     _check_count,
+    _check_real,
     chain_rng,
     derive_seed,
     get_sampler,
@@ -92,14 +93,10 @@ def grid_to_steps(t_grid, beta: float, n_steps: int) -> np.ndarray:
     at 499.9999...), so grid points that are exact multiples of beta hit their
     step exactly.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not np.all(np.isfinite(t_grid)):
-        raise ValueError(f"grid times must be finite, got {t_grid.tolist()}")
+    t_grid = _check_real("t_grid", np.asarray(t_grid, dtype=float), 0.0)
     ratio = t_grid / beta
     # Compared as floats: a step past the integer range would not survive the cast.
     steps = np.floor(ratio + 1e-9 * np.maximum(1.0, np.abs(ratio)))
-    if np.any(steps < 0):
-        raise ValueError("grid times must be nonnegative")
     if np.any(steps > n_steps):
         bad = float(t_grid[np.argmax(steps)])
         raise ValueError(
@@ -122,10 +119,9 @@ class EnsembleConfig:
     t_grid: tuple
 
     def __post_init__(self):
-        _check_count("n_chains", self.n_chains)
+        object.__setattr__(self, "n_chains", _check_count("n_chains", self.n_chains))
         grid = tuple(float(t) for t in self.t_grid)
-        if len(grid) == 0:
-            raise ValueError("t_grid must not be empty")
+        _check_count("number of t_grid times", len(grid))
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise ValueError("t_grid must be nondecreasing")
         object.__setattr__(self, "t_grid", grid)
@@ -300,10 +296,10 @@ def _deterministic_init_vector(base: OjaConfig) -> np.ndarray:
         return resolve_init(base.spec, base.init, chain_rng(base.seed, 0))
 
 
-def _two_chains(n_chains: int) -> None:
-    """FieldError below two chains: a variance over one chain (ddof=1) is NaN."""
-    if n_chains < 2:
-        raise FieldError("n_chains", f"needs at least 2 chains for its variances, got {n_chains}")
+def _two_chains(n_chains: int) -> int:
+    """n_chains as an int; FieldError below two chains, as a variance over one (ddof=1) is NaN."""
+    with _blame("n_chains"):
+        return _check_count("n_chains", n_chains, 2)
 
 
 # Each prepare_* checks every input of its experiment, raising FieldError, and returns
@@ -404,16 +400,12 @@ def prepare_finite_sample(spec: EigenSpectrum, t_list, n_chains: int, seed: int,
     geometrically instead of levelling off, so ratios to the formula are not
     meaningful for it.
     """
-    _two_chains(n_chains)
+    n_chains = _two_chains(n_chains)
     with _blame("sampler"):
         get_sampler(sampler)
     with _blame("t_list"):  # beta(T) of a short horizon can break the bounded stream's cap
-        if not all(not isinstance(t, bool) and math.isfinite(t) and int(t) == t for t in t_list):
-            raise ValueError(f"horizons must be finite integers (not bools), got {t_list}")
-        horizons = [int(t) for t in t_list]
-        if not horizons or min(horizons) < 100:
-            raise ValueError(f"horizons must be a nonempty list of at least 100 samples each, "
-                             f"got {horizons}")
+        horizons = [_check_count("horizon", t, 100) for t in t_list]
+        _check_count("number of horizons", len(horizons))
         bases = [OjaConfig(spec=spec, beta=stepsize_rule(spec, t), n_steps=t, init="uniform",
                            seed=derive_seed(seed, j), sampler=sampler)
                  for j, t in enumerate(horizons)]

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .spectrum import EigenSpectrum
+from .spectrum import EigenSpectrum, _check_real
 
 __all__ = [
     "ode_rhs",
@@ -55,9 +55,7 @@ def logistic_solution(spec: EigenSpectrum, v0: np.ndarray, t) -> np.ndarray:
     coordinate of v0, so entries only ever underflow toward zero and the
     normalizing sum keeps a Theta(1) leading term.
     """
-    t = np.asarray(t, dtype=float)
-    if not all(0.0 <= x < math.inf for x in t.ravel().tolist()):  # NaN fails too
-        raise ValueError(f"t must be finite and nonnegative, got {t.tolist()}")
+    t = _check_real("t", np.asarray(t, dtype=float), 0.0)
     v0 = np.asarray(v0, dtype=float)
     support = v0 != 0.0
     if not support.any():
@@ -77,16 +75,11 @@ def integrate_rk4(spec: EigenSpectrum, v0: np.ndarray, t_end: float, dt: float) 
 
     Requires dt <= 1e-2 / lambda_1; under that restriction the per-step
     departure from the sphere stays below 1e-10 in norm, which is asserted
-    before the renormalization snaps the iterate back.
+    before the renormalization snaps the iterate back.  The horizon t_end
+    must be below 2**63 steps.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if dt > 1e-2 / float(spec.lambdas[0]):
-        raise ValueError(
-            f"dt={dt} too large: need dt <= 1e-2/lambda_1 = {1e-2 / float(spec.lambdas[0]):.6g}"
-        )
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end}")
+    dt = _check_real("dt", dt, 0.0, spec._max_dt, "(]")
+    t_end = _check_real("t_end", t_end, 0.0, 2.0**63 * dt, "[)")
     v = np.asarray(v0, dtype=float).copy()
     n_full = int(np.floor(t_end / dt + 1e-12))
     rem = t_end - n_full * dt
@@ -118,8 +111,7 @@ def ode_crossing_time(spec: EigenSpectrum, v0: np.ndarray, delta: float) -> floa
     lambda_d.  Returns 0 when the target is already met.  Solved by bisection
     to 1e-10 relative accuracy.
     """
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
+    delta = _check_real("delta", delta, 0.0, 0.5, "()")
     v0 = np.asarray(v0, dtype=float)
     v1sq = float(v0[0] ** 2)
     if v0[0] == 0.0:

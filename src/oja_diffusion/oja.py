@@ -67,8 +67,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .spectrum import (
-    EigenSpectrum, GAUSSIAN_SAMPLER_NOTE, chain_rng, get_sampler, _axis_draws, _check_count,
-    _check_seed,
+    EigenSpectrum, GAUSSIAN_SAMPLER_NOTE, MAX_SEED, chain_rng, get_sampler, _axis_draws,
+    _check_count, _check_real,
 )
 
 __all__ = [
@@ -117,6 +117,7 @@ def _off_sphere(states: np.ndarray, tol: float) -> bool:
 
 def oja_step(v: np.ndarray, y: np.ndarray, beta) -> np.ndarray:
     """One projected update.  Accepts batched inputs on leading axes."""
+    beta = _check_real("beta", beta, 0.0, math.inf, "()")
     v = np.asarray(v, dtype=float)
     y = np.asarray(y, dtype=float)
     w = v + beta * np.einsum("...d,...d->...", v, y)[..., None] * y
@@ -150,10 +151,11 @@ def increment_parts(v: np.ndarray, y: np.ndarray, beta) -> IncrementParts:
     to float associativity.  For ||y||^2 <= B and beta <= 1/(3B) the remainder
     is uniformly O(B^2 beta^2) per coordinate.
     """
+    beta = _check_real("beta", beta, 0.0, math.inf, "()")
     v = np.asarray(v, dtype=float)
     y = np.asarray(y, dtype=float)
     s = np.sum(v * y, axis=-1, keepdims=True)
-    main = np.asarray(beta) * (s * y - v * s * s)
+    main = beta * (s * y - v * s * s)
     remainder = oja_step(v, y, beta) - v - main
     return IncrementParts(main=main, remainder=remainder)
 
@@ -171,8 +173,8 @@ def empirical_drift(
     Estimates E[Delta v | v] = beta v_k (lambda_k - v' Lambda v) + O(beta^2);
     the standard error of each coordinate shrinks as m^{-1/2}.
     """
-    if m < 1:
-        raise ValueError(f"need at least one sample, got m={m}")
+    m = _check_count("m", m)
+    beta = _check_real("beta", beta, 0.0, math.inf, "()")
     v = np.asarray(v, dtype=float)
     draw = get_sampler(sampler)
     total = np.zeros(spec.d)
@@ -193,7 +195,9 @@ class OjaConfig:
     string: "uniform", "saddle:k", "near_saddle:k:eps", "warm:delta".  The
     warm start puts v_1^2 = 1 - delta with the remaining mass spread evenly.
     ``seed`` is the master seed; the chain stream is ``chain_rng(seed, 0)``
-    so that a lone chain coincides with chain 0 of an ensemble.
+    so that a lone chain coincides with chain 0 of an ensemble.  The bounded
+    sampler needs beta <= 1/(3B), B = trace.  Each number is checked and kept
+    as a plain float or int.
     """
 
     spec: EigenSpectrum
@@ -205,21 +209,15 @@ class OjaConfig:
     record_stride: Optional[int] = None
 
     def __post_init__(self):
-        if not (self.beta > 0.0 and np.isfinite(self.beta)):
-            raise ValueError(f"stepsize beta must be positive and finite, got {self.beta}")
-        if int(self.n_steps) != self.n_steps or self.n_steps < 0:
-            raise ValueError(f"n_steps must be a nonnegative integer, got {self.n_steps}")
         get_sampler(self.sampler)
-        if self.sampler == "bounded":
-            cap = 1.0 / (3.0 * self.spec.sample_bound)
-            if self.beta > cap:
-                raise ValueError(
-                    f"beta={self.beta} exceeds 1/(3B)={cap:.6g} for the bounded "
-                    f"sampler (B=trace={self.spec.sample_bound:.6g})"
-                )
-        _check_seed(self.seed)
+        cap = 1.0 / (3.0 * self.spec.sample_bound) if self.sampler == "bounded" else math.inf
+        checked = dict(beta=_check_real("beta", self.beta, 0.0, cap, "(]"),
+                       n_steps=_check_count("n_steps", self.n_steps, 0),
+                       seed=_check_count("seed", self.seed, 0, MAX_SEED))
         if self.record_stride is not None:
-            _check_count("record_stride", self.record_stride)
+            checked["record_stride"] = _check_count("record_stride", self.record_stride)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         # Validate preset strings eagerly so config errors surface before any run.
         if isinstance(self.init, str):
             _parse_preset(self.spec, self.init)
@@ -261,29 +259,18 @@ def _parse_preset(spec: EigenSpectrum, text: str):
     if kind == "saddle":
         if len(parts) != 2:
             raise ValueError(f"preset 'saddle' needs an axis, e.g. 'saddle:2', got {text!r}")
-        k = int(parts[1])
-        if not 1 <= k <= spec.d:
-            raise ValueError(f"saddle axis must be in 1..{spec.d}, got {k}")
-        return ("saddle", k)
+        return ("saddle", _check_count("saddle axis", int(parts[1]), 1, spec.d))
     if kind == "near_saddle":
         if len(parts) != 3:
             raise ValueError(
                 f"preset 'near_saddle' needs axis and radius, e.g. 'near_saddle:2:1e-4', got {text!r}"
             )
-        k = int(parts[1])
-        eps = float(parts[2])
-        if not 1 <= k <= spec.d:
-            raise ValueError(f"near_saddle axis must be in 1..{spec.d}, got {k}")
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"near_saddle radius must lie in (0, 1), got {eps}")
-        return ("near_saddle", k, eps)
+        return ("near_saddle", _check_count("near_saddle axis", int(parts[1]), 1, spec.d),
+                _check_real("near_saddle radius", float(parts[2]), 0.0, 1.0, "()"))
     if kind == "warm":
         if len(parts) != 2:
             raise ValueError(f"preset 'warm' needs a delta, e.g. 'warm:0.25', got {text!r}")
-        delta = float(parts[1])
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"warm delta must lie in (0, 1), got {delta}")
-        return ("warm", delta)
+        return ("warm", _check_real("warm delta", float(parts[1]), 0.0, 1.0, "()"))
     raise ValueError(
         f"unknown init preset {text!r}; expected 'uniform', 'saddle:k', "
         f"'near_saddle:k:eps' or 'warm:delta'"
@@ -322,10 +309,7 @@ def resolve_init(spec: EigenSpectrum, init: InitSpec, rng: np.random.Generator) 
     arr = np.asarray(init, dtype=float)
     if arr.shape != (spec.d,):
         raise ValueError(f"init vector must have shape ({spec.d},), got {arr.shape}")
-    nrm = np.linalg.norm(arr)
-    if not np.isfinite(nrm) or nrm <= 1e-12:
-        raise ValueError("init vector must be finite and have nonzero norm")
-    return arr / nrm
+    return arr / _check_real("init vector norm", float(np.linalg.norm(arr)), 1e-12, math.inf, "(]")
 
 
 @dataclass(frozen=True, eq=False)

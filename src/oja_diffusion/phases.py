@@ -32,7 +32,7 @@ import numpy as np
 
 from .oja import OjaConfig, Trajectory, _config_echo, _parse_preset
 from .sde import phase1_exit_law, stationary_sin2
-from .spectrum import EigenSpectrum
+from .spectrum import EigenSpectrum, _ROOT_FLOAT_MAX, _check_count, _check_real
 
 __all__ = [
     "PhaseThresholds",
@@ -62,8 +62,7 @@ class PhaseThresholds:
     delta: float
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError(f"delta must lie in (0, 1/2), got {self.delta}")
+        object.__setattr__(self, "delta", _check_real("delta", self.delta, 0.0, 0.5, "()"))
 
 
 @dataclass(frozen=True)
@@ -98,6 +97,7 @@ def predict_crossings(spec: EigenSpectrum, beta: float, delta: float, k: int) ->
     the exit law over the seeding Gaussian.
     """
     law = phase1_exit_law(spec, k, beta, delta)
+    beta, delta = law.beta, law.delta
     lam1 = float(spec.lambdas[0])
     lam2 = float(spec.lambdas[1])
     lam_d = float(spec.lambdas[-1])
@@ -212,9 +212,7 @@ def _saddle_index(cfg: OjaConfig, k: Optional[int]) -> int:
             k = preset[1]
     if k is None:
         raise ValueError("saddle index k is required when the init preset does not name one")
-    if int(k) != k or not 2 <= k <= cfg.spec.d:
-        raise ValueError(f"saddle index k must be an integer in 2..{cfg.spec.d}, got {k!r}")
-    return int(k)
+    return _check_count("k", k, 2, cfg.spec.d)
 
 
 def crossing_report(
@@ -236,16 +234,9 @@ def crossing_report(
 _MIN_T = math.e  # the rule needs log T >= 1 to be a usable stepsize
 
 
-def _check_t_samples(t_samples) -> float:
-    t = float(t_samples)
-    if not _MIN_T <= t < math.inf:
-        raise ValueError(f"t_samples must be a finite number >= e ~ 2.718, got {t_samples}")
-    return t
-
-
 def stepsize_rule(spec: EigenSpectrum, t_samples) -> float:
     """Horizon-tuned stepsize beta(T) = log T / ((lambda_1 - lambda_2) T)."""
-    t = _check_t_samples(t_samples)
+    t = _check_real("t_samples", t_samples, _MIN_T)
     return math.log(t) / (spec.gap * t)
 
 
@@ -254,7 +245,7 @@ def rate_bound_sin2(spec: EigenSpectrum, t_samples) -> float:
 
     sum_{k>=2} lambda_1 lambda_k / (2 (lambda_1 - lambda_k)) * log T / ((lambda_1 - lambda_2) T).
     """
-    t = _check_t_samples(t_samples)
+    t = _check_real("t_samples", t_samples, _MIN_T)
     lam1 = float(spec.lambdas[0])
     tail = spec.tail()
     coeff = float(np.sum(lam1 * tail / (2.0 * (lam1 - tail))))
@@ -267,7 +258,7 @@ def rate_bound_rayleigh(spec: EigenSpectrum, t_samples) -> float:
     (lambda_1 tr(Lambda) - lambda_1^2) / 2 * log T / ((lambda_1 - lambda_2) T),
     with the universal constant set to 1.
     """
-    t = _check_t_samples(t_samples)
+    t = _check_real("t_samples", t_samples, _MIN_T)
     lam1 = float(spec.lambdas[0])
     coeff = (lam1 * spec.trace - lam1 * lam1) / 2.0
     return coeff * math.log(t) / (spec.gap * t)
@@ -278,12 +269,11 @@ def minimax_lower_bound(spec: EigenSpectrum, n, sigma_star2: Optional[float] = N
 
     Default sigma*^2 is the tight value lambda_1 lambda_2 / (lambda_1 - lambda_2)^2.
     """
-    n = float(n)
-    if n <= 0:
-        raise ValueError(f"sample count must be positive, got {n}")
+    n = _check_real("n", n, 0.0, math.inf, "()")
     if sigma_star2 is None:
         sigma_star2 = float(spec.lambdas[0] * spec.lambdas[1]) / spec.gap**2
-    return sigma_star2 * (spec.d - 1) / n
+    sigma_star2 = _check_real("sigma_star2", sigma_star2, 0.0, math.inf, "()")
+    return _check_real("minimax level", sigma_star2 * (spec.d - 1) / n)
 
 
 def table1_rows(
@@ -292,15 +282,13 @@ def table1_rows(
     """Reference sin^2 rates after n samples for streaming PCA analyses.
 
     ``b`` is the almost-sure bound on ||Y||^2 (the bounded sampler attains
-    b = tr(Lambda)).  Constants are set to 1 throughout.  The 'oja-diffusion'
-    row is this package's rate,
+    b = tr(Lambda)); b**2 must be a float.  Constants are set to 1 throughout.
+    The 'oja-diffusion' row is this package's rate,
     (lambda_1 / (lambda_1 - lambda_2)) sum_{k>=2} lambda_k / (lambda_1 - lambda_k) / n.
+    ValueError naming the row when a rate overflows.
     """
-    n = float(n)
-    if n <= 0:
-        raise ValueError(f"sample count must be positive, got {n}")
-    if b <= 0:
-        raise ValueError(f"norm bound b must be positive, got {b}")
+    n = _check_real("n", n, 0.0, math.inf, "()")
+    b = _check_real("b", b, 0.0, _ROOT_FLOAT_MAX, "(]")
     lam1 = float(spec.lambdas[0])
     lam2 = float(spec.lambdas[1])
     gap = spec.gap
@@ -308,8 +296,9 @@ def table1_rows(
     tail = spec.tail()
     if sigma_star2 is None:
         sigma_star2 = lam1 * lam2 / gap**2
+    sigma_star2 = _check_real("sigma_star2", sigma_star2, 0.0, math.inf, "()")
     own = (lam1 / gap) * float(np.sum(tail / (lam1 - tail))) / n
-    return [
+    rows = [
         ("minimax", sigma_star2 * d / n),
         ("alecton", b * lam1 * d / (gap**2 * n)),
         ("block-power", b * lam1**2 / (gap**3 * n)),
@@ -318,6 +307,7 @@ def table1_rows(
         ("oja-jain", b * lam1 / (gap**2 * n)),
         ("oja-diffusion", own),
     ]
+    return [(name, _check_real(f"{name} rate", rate)) for name, rate in rows]
 
 
 def cutoff_ratios(spec: EigenSpectrum, beta: float, delta: float, k: int) -> tuple[float, float]:
@@ -378,7 +368,7 @@ def rate_report(
     sigma_star2: Optional[float] = None,
 ) -> RateReport:
     """Evaluate every rate formula at horizon T (b defaults to tr(Lambda))."""
-    t = _check_t_samples(t_samples)
+    t = _check_real("t_samples", t_samples, _MIN_T)
     if b is None:
         b = spec.trace
     return RateReport(

@@ -47,7 +47,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .oja import SAMPLE_BLOCK, _DRAW_TILE, _walk_blocks
-from .spectrum import EigenSpectrum, chain_rng
+from .spectrum import EigenSpectrum, chain_rng, _ROOT_FLOAT_MAX, _check_count, _check_real
 
 __all__ = [
     "OuSpec",
@@ -73,8 +73,7 @@ class OuSpec:
     k: int
 
     def __post_init__(self):
-        if int(self.k) != self.k or not 1 <= self.k <= self.spec.d:
-            raise ValueError(f"anchor k must be an integer in 1..{self.spec.d}, got {self.k}")
+        object.__setattr__(self, "k", _check_count("k", self.k, 1, self.spec.d))
 
     @cached_property
     def other_lambdas(self) -> np.ndarray:
@@ -107,9 +106,7 @@ def _as_u0(ou: OuSpec, u0) -> np.ndarray:
         arr = np.full(ou.spec.d - 1, float(arr))
     if arr.shape != (ou.spec.d - 1,):
         raise ValueError(f"u0 must be scalar or shape ({ou.spec.d - 1},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"u0 must be finite, got {arr.tolist()}")
-    return arr
+    return _check_real("u0", arr)
 
 
 def ou_mean_cov(ou: OuSpec, u0, t: float):
@@ -119,18 +116,18 @@ def ou_mean_cov(ou: OuSpec, u0, t: float):
     valid for stable, unstable and tied rates (the tie limit is
     lambda_k lambda_i t).  Coordinates are independent, so the variance vector
     is the full covariance.  An array t broadcasts against the coordinates:
-    ``times[:, None]`` gives one row per time.
+    ``times[:, None]`` gives one row per time.  ValueError when an unstable
+    coordinate's moments overflow.
     """
-    if np.any(t < 0.0):
-        raise ValueError(f"t must be nonnegative, got {t}")
+    t = _check_real("t", np.asarray(t, dtype=float), 0.0)
     u0 = _as_u0(ou, u0)
     a = ou.drift_rates
     lam_prod = ou.noise_scales**2
-    mean = u0 * np.exp(-a * t)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mean = u0 * np.exp(-a * t)
         var = lam_prod * (-np.expm1(-2.0 * a * t)) / (2.0 * a)
     var = np.where(a == 0.0, lam_prod * t, var)
-    return mean, var
+    return _check_real("closed-form mean", mean), _check_real("closed-form variance", var)
 
 
 def ou_stationary_var(ou: OuSpec) -> np.ndarray:
@@ -157,11 +154,17 @@ class OuPath:
     seed: Optional[int]
 
 
-def _check_dt(spec: EigenSpectrum, dt: float) -> float:
-    cap = 1e-2 / max(float(spec.lambdas[0]), float(spec.lambdas[0] - spec.lambdas[-1]))
-    if not 0.0 < dt <= cap:
-        raise ValueError(f"dt must lie in (0, {cap:.6g}], got {dt}")
-    return dt
+def _step_count(spec: EigenSpectrum, name: str, t, dt: float) -> np.ndarray:
+    """round(t / dt) as int64, for a time or a list or array of times ``t``.
+
+    ValueError naming dt unless 0 < dt <= 1e-2 / lambda_1, or naming ``name``
+    unless each t is finite, nonnegative and below 2**63 steps.  Below that
+    bound the float t / dt is at most 2**63 - 1024, so the cast cannot overflow.
+    """
+    dt = _check_real("dt", dt, 0.0, spec._max_dt, "(]")
+    if isinstance(t, (list, tuple, np.ndarray)):
+        t = np.asarray(t, dtype=float)
+    return np.round(_check_real(name, t, 0.0, 2.0**63 * dt, "[)") / dt).astype(np.int64)
 
 
 def _euler_maruyama(u: np.ndarray, rec_steps: np.ndarray, dt: float, coeffs, seed) -> np.ndarray:
@@ -194,26 +197,24 @@ def _euler_maruyama(u: np.ndarray, rec_steps: np.ndarray, dt: float, coeffs, see
     return _walk_blocks(u, rec_steps, block, advance, lambda s: not np.isfinite(s).all(), fault)
 
 
-def _single_path(u0: np.ndarray, t_end: float, dt: float, seed, coeffs) -> OuPath:
+def _single_path(spec: EigenSpectrum, u0: np.ndarray, t_end: float, dt: float, seed,
+                 coeffs) -> OuPath:
     """One path from the (m,) state u0, recorded at every step up to t_end."""
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end}")
-    steps = np.arange(int(round(t_end / dt)) + 1)
+    steps = np.arange(_step_count(spec, "t_end", t_end, dt) + 1)
     states = _euler_maruyama(u0[None, :], steps, dt, coeffs, seed)[:, 0]
     return OuPath(times=steps * dt, states=states,
                   seed=None if isinstance(seed, np.random.Generator) else int(seed))
 
 
-def _grid_states(u0: np.ndarray, t_grid, dt: float, n_paths: int, seed, coeffs):
+def _grid_states(spec: EigenSpectrum, u0: np.ndarray, t_grid, dt: float, n_paths: int, seed,
+                 coeffs):
     """Snapped times, states at the distinct steps and each time's index, of n_paths paths."""
-    if n_paths < 2:
-        raise ValueError(f"need at least two paths, got {n_paths}")
-    grid = np.round(np.asarray(t_grid, dtype=float) / dt)
-    if grid.size == 0 or not np.all((grid >= 0.0) & (grid < 2.0**63)):  # NaN fails both
-        raise ValueError("t_grid must be a nonempty list of finite nonnegative times < 2**63 dt")
-    rec_steps, sel = np.unique(grid.astype(int), return_inverse=True)
+    n_paths = _check_count("n_paths", n_paths, 2)
+    steps = _step_count(spec, "t_grid", t_grid, dt)
+    _check_count("number of t_grid times", steps.size)
+    rec_steps, sel = np.unique(steps, return_inverse=True)
     states = _euler_maruyama(np.tile(u0, (n_paths, 1)), rec_steps, dt, coeffs, seed)
-    return grid * dt, states, sel
+    return steps * dt, states, sel
 
 
 def _ou_coeffs(ou: OuSpec, scale: float):
@@ -230,8 +231,8 @@ def simulate_ou(
     generator.  ``diffusion_scale=0`` switches the noise off, leaving the
     exact exponential mean flow for step-level verification.
     """
-    return _single_path(_as_u0(ou, u0), t_end, _check_dt(ou.spec, dt), seed,
-                        _ou_coeffs(ou, float(diffusion_scale)))
+    scale = _check_real("diffusion_scale", diffusion_scale, 0.0)
+    return _single_path(ou.spec, _as_u0(ou, u0), t_end, dt, seed, _ou_coeffs(ou, scale))
 
 
 def ou_ensemble_moments(ou: OuSpec, u0, t_grid, dt: float, n_paths: int, seed):
@@ -241,8 +242,8 @@ def ou_ensemble_moments(ou: OuSpec, u0, t_grid, dt: float, n_paths: int, seed):
     step grid.  One generator drives all paths in lockstep, so the result is
     deterministic for a given seed but individual paths are not addressable.
     """
-    times, states, sel = _grid_states(_as_u0(ou, u0), t_grid, _check_dt(ou.spec, dt), n_paths,
-                                      seed, _ou_coeffs(ou, 1.0))
+    times, states, sel = _grid_states(ou.spec, _as_u0(ou, u0), t_grid, dt, n_paths, seed,
+                                      _ou_coeffs(ou, 1.0))
     return times, states.mean(axis=1)[sel], states.var(axis=1, ddof=1)[sel]
 
 
@@ -251,13 +252,13 @@ def stationary_sin2(spec: EigenSpectrum, beta: float) -> float:
 
     Equals beta * sum_{k>=2} lambda_1 lambda_k / (2 (lambda_1 - lambda_k)),
     the total stationary variance of the rescaled off-axis block around e_1,
-    scaled back by beta.
+    scaled back by beta.  ValueError when it overflows.
     """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    beta = _check_real("beta", beta, 0.0, math.inf, "()")
     lam1 = float(spec.lambdas[0])
     tail = spec.tail()
-    return beta * float(np.sum(lam1 * tail / (2.0 * (lam1 - tail))))
+    level = beta * float(np.sum(lam1 * tail / (2.0 * (lam1 - tail))))
+    return _check_real("stationary sin^2", level)
 
 
 @dataclass(frozen=True)
@@ -273,13 +274,19 @@ class Phase1ExitLaw:
                  / ((lambda_1 - lambda_k) beta),
 
     clamped at zero.  Quantiles come from the |chi| quantiles (N is
-    decreasing in |chi|), so the median uses |chi| ~ 0.6745.
+    decreasing in |chi|), so the median uses |chi| ~ 0.6745.  The rate,
+    sigma_W and beta are positive, and delta lies in (0, 1/2).
     """
 
     rate: float  # lambda_1 - lambda_k
     sigma_w: float
     beta: float
     delta: float
+
+    def __post_init__(self):
+        for name, high in (("rate", math.inf), ("sigma_w", math.inf), ("beta", math.inf),
+                           ("delta", 0.5)):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), 0.0, high, "()"))
 
     def steps_given_chi(self, chi) -> np.ndarray:
         chi = np.abs(np.asarray(chi, dtype=float))
@@ -294,10 +301,10 @@ class Phase1ExitLaw:
         return out[0] if size is None else out
 
     def quantile(self, q: float) -> float:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile level must lie in (0, 1), got {q}")
         # P(N <= x) = P(|chi| >= chi(x)); the q-quantile of N uses the
         # (1-q)-quantile of |chi|, which is Phi^{-1}(1 - q/2) for the half-normal.
+        # For q <= 2**-53, 1 - q/2 rounds to 1, whose normal quantile is infinite.
+        q = _check_real("q", q, 2.0**-53, 1.0, "()")
         chi_q = statistics.NormalDist().inv_cdf(1.0 - q / 2.0)
         return float(self.steps_given_chi(chi_q))
 
@@ -308,14 +315,8 @@ class Phase1ExitLaw:
 
 def phase1_exit_law(spec: EigenSpectrum, k: int, beta: float, delta: float) -> Phase1ExitLaw:
     """Exit law from saddle e_k to overlap level v_1^2 = delta."""
-    if int(k) != k or not 2 <= k <= spec.d:
-        raise ValueError(f"saddle index k must be an integer in 2..{spec.d}, got {k}")
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     lam1 = float(spec.lambdas[0])
-    lam_k = float(spec.lambdas[k - 1])
+    lam_k = float(spec.lambdas[_check_count("k", k, 2, spec.d) - 1])
     rate = lam1 - lam_k
     sigma_w = math.sqrt(lam1 * lam_k / (2.0 * rate))
     return Phase1ExitLaw(rate=rate, sigma_w=sigma_w, beta=beta, delta=delta)
@@ -325,13 +326,15 @@ def equator_drift_coeff(spec: EigenSpectrum, v: np.ndarray) -> float:
     """Tail Rayleigh quotient L(v) = sum_{k>=2} lambda_k v_k^2 / sum_{k>=2} v_k^2.
 
     A convex combination of the tail eigenvalues, so always inside
-    [lambda_d, lambda_2]; undefined at v = +/- e_1.
+    [lambda_d, lambda_2]; undefined at v = +/- e_1 and where the tail is not finite.
+    Each Euler-Maruyama step of the equator SDE calls it, so one comparison checks.
     """
     v = np.asarray(v, dtype=float)
     tail = v[1:]
     denom = float(tail @ tail)
-    if denom == 0.0:
-        raise ValueError("L(v) is undefined at v = +/- e_1 (no equator component)")
+    if not 0.0 < denom < math.inf:
+        raise ValueError(f"L(v) is undefined at v = +/- e_1 (no equator component) and at a "
+                         f"tail that is not finite, got {v.tolist()}")
     lam_tail = np.asarray(spec.tail())
     return float((lam_tail * tail * tail).sum() / denom)
 
@@ -366,14 +369,20 @@ def simulate_equator_sde(
     constant vector.  With a constant path V == e_k this is exactly the
     unstable OU with rate lambda_1 - lambda_k and noise sqrt(lambda_1 lambda_k).
     """
-    coeffs = _equator_coeffs(spec, v_path, float(diffusion_scale))
-    return _single_path(np.array([float(u0)]), t_end, _check_dt(spec, dt), seed, coeffs)
+    coeffs = _equator_coeffs(spec, v_path, _check_real("diffusion_scale", diffusion_scale, 0.0))
+    return _single_path(spec, np.array([_check_real("u0", u0)]), t_end, dt, seed, coeffs)
 
 
 def equator_ensemble_second_moment(
     spec: EigenSpectrum, v_path: PathLike, u0: float, t_grid, dt: float, n_paths: int, seed
 ):
-    """E[U^2(t)] over n_paths lockstep paths of the equator SDE."""
-    times, states, sel = _grid_states(np.array([float(u0)]), t_grid, _check_dt(spec, dt), n_paths,
-                                      seed, _equator_coeffs(spec, v_path, 1.0))
-    return times, (states * states).mean(axis=(1, 2))[sel]
+    """E[U^2(t)] over n_paths lockstep paths of the equator SDE.
+
+    U^2 must be a float: |u0| is at most the square root of the largest
+    float, and a path that outgrows it raises ``FloatingPointError``.
+    """
+    u0 = _check_real("u0", u0, -_ROOT_FLOAT_MAX, _ROOT_FLOAT_MAX)
+    times, states, sel = _grid_states(spec, np.array([u0]), t_grid, dt, n_paths, seed,
+                                      _equator_coeffs(spec, v_path, 1.0))
+    with np.errstate(over="raise"):
+        return times, (states * states).mean(axis=(1, 2))[sel]

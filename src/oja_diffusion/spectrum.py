@@ -26,6 +26,9 @@ run reproducible and independent of worker scheduling.
 
 from __future__ import annotations
 
+import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -47,6 +50,9 @@ ArrayLike = Union[Sequence[float], np.ndarray]
 # Largest admissible master seed: SeedSequence entropy is used as an unsigned
 # 64-bit word so configs stay portable across serialization formats.
 MAX_SEED = 2**64 - 1
+
+# The largest float whose square is a float.
+_ROOT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +83,11 @@ class EigenSpectrum:
     def sample_bound(self) -> float:
         """Almost-sure bound B on ||Y||^2 for the bounded sampler."""
         return self.trace
+
+    @property
+    def _max_dt(self) -> float:
+        """Largest time step of the Euler-Maruyama and RK4 integrators, 1e-2 / lambda_1."""
+        return 1e-2 / float(self.lambdas[0])
 
     def tail(self) -> np.ndarray:
         """Eigenvalues below the top one, i.e. (lambda_2, ..., lambda_d)."""
@@ -110,10 +121,7 @@ def make_spectrum(lambdas: ArrayLike) -> EigenSpectrum:
         raise ValueError(f"eigenvalues must form a 1-d sequence, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ValueError(f"need dimension d >= 2, got d={arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("eigenvalues must be finite")
-    if np.any(arr <= 0.0):
-        raise ValueError(f"eigenvalues must be strictly positive, got {arr.tolist()}")
+    _check_real("eigenvalues", arr, 0.0, math.inf, "()")
     if not arr[0] > arr[1]:
         raise ValueError(
             f"top eigengap must be strictly positive (lambda_1 > lambda_2), "
@@ -195,9 +203,7 @@ def get_sampler(name: str):
 
 def random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed rotation via QR of a Gaussian matrix with sign correction."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    a = rng.standard_normal((d, d))
+    a = rng.standard_normal((_check_count("d", d),) * 2)
     q, r = np.linalg.qr(a)
     # Fix the sign ambiguity of QR so the distribution is exactly Haar.
     q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
@@ -215,30 +221,60 @@ def chain_rng(master_seed: int, *index: int) -> np.random.Generator:
     statistically independent streams and the derivation is pure, so results
     never depend on how chains are scheduled across workers.
     """
-    _check_seed(master_seed)
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in index))
+    ss = np.random.SeedSequence(_check_count("seed", master_seed, 0, MAX_SEED),
+                                spawn_key=tuple(int(k) for k in index))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def derive_seed(master_seed: int, *index: int) -> int:
     """Derive a child 64-bit seed from a master seed and an index path."""
-    _check_seed(master_seed)
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in index))
+    ss = np.random.SeedSequence(_check_count("seed", master_seed, 0, MAX_SEED),
+                                spawn_key=tuple(int(k) for k in index))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _check_seed(seed: int) -> int:
-    if int(seed) != seed or not (0 <= seed <= MAX_SEED):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return int(seed)
+def _out_of_range(name: str, kind: str, value, low, high, brackets: str) -> ValueError:
+    """The one message of both checks: ``name`` must be ``kind`` in the interval, got ``value``."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    ends = [f"{x:.6g}" if isinstance(x, float) else str(x) for x in (low, high)]
+    lo = "(" if low == -math.inf else brackets[0]
+    hi = ")" if high == math.inf else brackets[1]
+    return ValueError(f"{name} must be {kind} in {lo}{ends[0]}, {ends[1]}{hi}, got {value!r}")
 
 
-def _check_count(name: str, value) -> int:
-    """The count as an int; ValueError unless it is a positive integer."""
+def _check_real(name: str, value, low: float = -math.inf, high: float = math.inf,
+                brackets: str = "[]"):
+    """The real number ``value`` as a float, checked to be finite, not a bool, and in range.
+
+    The range runs from ``low`` to ``high``; ``brackets`` says whether each end is
+    closed, "[" or "]", or open, "(" or ")".  Each comparison fails on NaN.  An
+    ndarray is checked entry by entry, or by its least and greatest entries
+    (NaN is both) when it has more than two, and is returned as it is.
+    ValueError naming ``name`` otherwise.
+    """
+    if isinstance(value, np.ndarray):
+        for x in value.ravel().tolist() if value.size < 3 else (value.min(), value.max()):
+            _check_real(name, x, low, high, brackets)
+        return value
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    x = float(value) if real and abs(value) <= sys.float_info.max else math.nan
+    if not (math.isfinite(x) and (low < x if brackets[0] == "(" else low <= x)
+            and (x < high if brackets[1] == ")" else x <= high)):
+        raise _out_of_range(name, "a finite number", value, low, high, brackets)
+    return x
+
+
+def _check_count(name: str, value, low: int = 1, high: float = math.inf) -> int:
+    """The integer ``value`` as an int, checked to be in [low, high] and not a bool.
+
+    Pure Python, as ``chain_rng`` runs it once per chain.  ValueError naming
+    ``name`` otherwise.
+    """
     try:
-        valid = int(value) == value and value >= 1
+        valid = not isinstance(value, bool) and int(value) == value and low <= value <= high
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        raise _out_of_range(name, "an integer", value, low, high, "[]")
     return int(value)

@@ -355,6 +355,9 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
             "n_chains": 1}, "n_chains"),
     ("mc", {"experiment": "ode_convergence", "spec": [2.0, 1.0], "beta": 1e-3,
             "n_chains": 1, "t_grid": [0.5, 1.0]}, "n_chains"),
+    ("sde", {"spec": [2, 1], "t_end": 1.0, "dt": 1e-3, "n_paths": 10, "t_grid": [0.5, 1e300]},
+     "t_grid"),
+    ("sde", {"spec": [2, 1], "t_end": 1e300, "dt": 1e-3, "n_paths": 0}, "t_end"),
 ], ids=["ode-nan-t_grid", "ode-nan-grid-object", "mc-nan-t_grid", "sde-nan-u0",
         "sde-inf-t_end", "mc-short-t_list", "mc-fractional-t_list", "rates-nan-b",
         "rates-text-sigma_star2",
@@ -364,7 +367,7 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
         "phases-trajectory-n_steps-abc", "phases-missing-trajectory_csv", "run-n_steps-abc",
         "run-n_steps-null", "sde-text-n_paths", "run-text-include_states",
         "sde-nan-dt", "mc-sde_covariance-one-chain", "mc-finite_sample-one-chain",
-        "mc-ode_convergence-one-chain"])
+        "mc-ode_convergence-one-chain", "sde-huge-t_grid", "sde-huge-t_end"])
 def test_bad_input_is_exit_2_before_any_file(tmp_path, capsys, command, payload, field):
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "out"

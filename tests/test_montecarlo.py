@@ -94,7 +94,7 @@ def test_worker_count_is_capped_by_cpus_and_chains():
 @pytest.mark.parametrize("workers", [0, -5, 1.5, "2"])
 def test_ensemble_states_rejects_bad_worker_counts(workers):
     base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=100, seed=1)
-    with pytest.raises(ValueError, match="workers must be a positive integer"):
+    with pytest.raises(ValueError, match=r"workers must be an integer in \[1, inf\)"):
         run_ensemble_states(base, 4, np.array([0, 50]), workers=workers)
 
 
@@ -121,7 +121,7 @@ def test_ensemble_chain_zero_equals_run_chain():
 @pytest.mark.parametrize("n_chains", [0, -3, 2.5, "4", float("inf")])
 def test_ensemble_states_rejects_bad_chain_counts(n_chains):
     base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=100, seed=1)
-    with pytest.raises(ValueError, match="n_chains must be a positive integer"):
+    with pytest.raises(ValueError, match=r"n_chains must be an integer in \[1, inf\)"):
         run_ensemble_states(base, n_chains, np.array([0, 50]))
 
 
@@ -344,16 +344,16 @@ def test_variance_experiments_need_two_chains():
     # One chain has no ddof=1 variance: the fit would be NaN, not a number to report.
     base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=50, init="saddle:1", seed=1,
                      sampler="gaussian")
-    with pytest.raises(ValueError, match="2 chains"):
+    with pytest.raises(ValueError, match=r"n_chains must be an integer in \[2, inf\)"):
         sde_covariance_experiment(EnsembleConfig(base=base, n_chains=1, t_grid=(0.05,)), 1)
-    with pytest.raises(ValueError, match="2 chains"):
+    with pytest.raises(ValueError, match=r"n_chains must be an integer in \[2, inf\)"):
         finite_sample_experiment(SPEC2, [100], 1, seed=1)
 
 
 def test_ode_convergence_needs_two_chains():
     # One chain has no standard error: se_v1sq would read 0, as if exact.
     base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=1000, init="warm:0.75", seed=3)
-    with pytest.raises(ValueError, match="2 chains"):
+    with pytest.raises(ValueError, match=r"n_chains must be an integer in \[2, inf\)"):
         ode_convergence_experiment(EnsembleConfig(base=base, n_chains=1, t_grid=(0.5, 1.0)))
 
 

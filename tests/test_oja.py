@@ -181,7 +181,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="beta"):
         OjaConfig(spec=SPEC2, beta=0.0, n_steps=10)
     # bounded stream requires beta <= 1/(3B) with B = trace = 3
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValueError, match=r"beta must be a finite number in \(0, 0.111111\]"):
         OjaConfig(spec=SPEC2, beta=0.2, n_steps=10, sampler="bounded")
     # the same stepsize is fine for the unbounded stream
     OjaConfig(spec=SPEC2, beta=0.2, n_steps=10, sampler="gaussian")
