@@ -101,20 +101,6 @@ def _sampler(name) -> str:
     return name
 
 
-def _init(spec, init):
-    """``init`` as given, once it parses as a preset or resolves to a unit vector.
-
-    No generator is made: a run that draws nothing never imports numpy.random.
-    """
-    from .oja import _parse_preset, resolve_init
-
-    if isinstance(init, str):
-        _parse_preset(spec, init)
-    else:
-        resolve_init(spec, init, None)
-    return init
-
-
 def _grid(val):
     """A nonempty list of times or a {"start", "stop", "num"} object, as an array of times >= 0."""
     import numpy as np
@@ -139,13 +125,13 @@ def _chain(cfg: dict, spec, seed: int, init="uniform", sampler="bounded", steps_
 
     chain = _field(cfg, "beta", lambda v: OjaConfig(spec=spec, beta=v, n_steps=0, seed=seed,
                                                     sampler="gaussian"))
-    chain = _field(cfg, "n_steps", lambda v: replace(chain, n_steps=v),
-                   _REQUIRED if steps_for is None else steps_for(chain.beta))
+    default = _REQUIRED if steps_for is None or "n_steps" in cfg else steps_for(chain.beta)
+    chain = _field(cfg, "n_steps", lambda v: replace(chain, n_steps=v), default)
     sampler = _field(cfg, "sampler", _sampler, sampler)
-    init = _field(cfg, "init", lambda v: _init(spec, v), init)
+    chain = _field(cfg, "init", lambda v: replace(chain, init=v), init)
     chain = _field(cfg, "record_stride", lambda v: replace(chain, record_stride=v), None)
     with _blame("beta"):
-        return replace(chain, init=init, sampler=sampler)
+        return replace(chain, sampler=sampler)
 
 
 def _atomic_write(path: str, write) -> None:
@@ -376,11 +362,10 @@ def cmd_phases(cfg: dict, seed: int, workers: int):
 
 
 def cmd_mc(cfg: dict, seed: int, workers: int):
-    import numpy as np
-
-    from .montecarlo import (EnsembleConfig, _worker_count, prepare_finite_sample,
+    from .montecarlo import (EnsembleConfig, _worker_count, grid_to_steps, prepare_finite_sample,
                              prepare_ode_convergence, prepare_phase_portrait,
                              prepare_sde_covariance)
+    from .oja import _MAX_STEPS
     from .sde import OuSpec
     from .spectrum import make_spectrum
 
@@ -399,7 +384,11 @@ def cmd_mc(cfg: dict, seed: int, workers: int):
                           _field(cfg, "k", default=None))
     else:
         grid = _field(cfg, "t_grid", _grid)
-        steps_for = lambda beta: np.floor(grid.max() / beta + 1e-9)
+
+        def steps_for(beta):  # the default n_steps: the step of the last grid time
+            with _blame("t_grid"):
+                return grid_to_steps(grid, beta, _MAX_STEPS).max()
+
         if experiment == "ode_convergence":
             base = _chain(cfg, spec, seed, "warm:0.5", "bounded", steps_for)
         else:
@@ -443,7 +432,7 @@ _COMMANDS = {
 config keys:
   spec           eigenvalues, descending, strict top gap (required)
   beta           stepsize, > 0; <= 1/(3 trace) for the bounded sampler (required)
-  n_steps        number of update steps, >= 0 (required)
+  n_steps        number of update steps, in [0, 2^62] (required)
   init           "uniform" | "saddle:k" | "near_saddle:k:eps" | "warm:delta" | vector (default "uniform")
   seed           master seed, integer in [0, 2^64) (default 0)
   sampler        "bounded" | "gaussian" (default "bounded")
@@ -486,7 +475,7 @@ config keys (common):
   seed        master seed (default 0)
 per experiment:
   ode_convergence: beta, t_grid (required); init (default "warm:0.5"), sampler
-    (default "bounded"), n_steps (default from grid)
+    (default "bounded"), n_steps (default: the step of the last grid time)
   sde_covariance: beta, t_grid (required); k (default 1); sampler must be
     "gaussian"; init must be e_k (default "saddle:k")
   finite_sample: t_list (required), sampler (default "gaussian")

@@ -40,12 +40,11 @@ from .ode import logistic_solution
 from .oja import (
     OjaConfig,
     Table,
+    _MAX_STEPS,
     _config_echo,
-    _parse_preset,
     _run_lockstep,
     _sin2,
     record_steps as _record_steps,
-    resolve_init,
 )
 from .phases import (
     PhaseThresholds,
@@ -63,7 +62,7 @@ from .spectrum import (
     GAUSSIAN_SAMPLER_NOTE,
     _check_count,
     _check_real,
-    chain_rng,
+    chain_rng,  # unused here; the benchmark tracer patches it on this module
     derive_seed,
     get_sampler,
 )
@@ -91,9 +90,11 @@ def grid_to_steps(t_grid, beta: float, n_steps: int) -> np.ndarray:
 
     A relative nudge counters float junk in t / beta (e.g. 0.5 / 1e-3 landing
     at 499.9999...), so grid points that are exact multiples of beta hit their
-    step exactly.
+    step exactly.  ValueError unless every step is at most n_steps, an integer
+    in [0, 2**62] as in :class:`OjaConfig`.
     """
     t_grid = _check_real("t_grid", np.asarray(t_grid, dtype=float), 0.0)
+    n_steps = _check_count("n_steps", n_steps, 0, _MAX_STEPS)
     ratio = t_grid / beta
     # Compared as floats: a step past the integer range would not survive the cast.
     steps = np.floor(ratio + 1e-9 * np.maximum(1.0, np.abs(ratio)))
@@ -111,7 +112,7 @@ class EnsembleConfig:
 
     ``base.seed`` acts as the master seed; chain i uses stream
     ``chain_rng(seed, i)``.  Every grid time must satisfy
-    floor(t / beta) <= n_steps.
+    floor(t / beta) <= n_steps; those steps are worked out once, here.
     """
 
     base: OjaConfig
@@ -124,11 +125,10 @@ class EnsembleConfig:
         _check_count("number of t_grid times", len(grid))
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise ValueError("t_grid must be nondecreasing")
+        steps = grid_to_steps(grid, self.base.beta, self.base.n_steps)
+        steps.setflags(write=False)
         object.__setattr__(self, "t_grid", grid)
-        grid_to_steps(grid, self.base.beta, self.base.n_steps)  # validates range
-
-    def grid_steps(self) -> np.ndarray:
-        return grid_to_steps(self.t_grid, self.base.beta, self.base.n_steps)
+        object.__setattr__(self, "_steps", steps)
 
 
 def _worker_count(workers: int, n_chains: int) -> int:
@@ -233,7 +233,7 @@ class EnsembleSummary:
 
 def _grid_states(cfg: EnsembleConfig, workers: int) -> tuple[np.ndarray, np.ndarray]:
     """The grid's steps and the states there, (n_t, n_chains, d); repeated steps run once."""
-    steps_for_grid = cfg.grid_steps()
+    steps_for_grid = cfg._steps
     rec_steps = np.unique(steps_for_grid)
     states = run_ensemble_states(cfg.base, cfg.n_chains, rec_steps, workers=workers)
     return steps_for_grid, states[np.searchsorted(rec_steps, steps_for_grid)]
@@ -287,13 +287,11 @@ def _blame(field: str):
 
 
 def _deterministic_init_vector(base: OjaConfig) -> np.ndarray:
-    """Resolve the init when it does not depend on the chain stream; FieldError otherwise."""
-    with _blame("init"):
-        if isinstance(base.init, str):
-            if _parse_preset(base.spec, base.init)[0] in ("uniform", "near_saddle"):
-                raise ValueError(f"experiment needs a deterministic init shared by all chains, "
-                                 f"got random preset {base.init!r}")
-        return resolve_init(base.spec, base.init, chain_rng(base.seed, 0))
+    """The init's unit vector when it does not depend on the chain stream; FieldError otherwise."""
+    if base._init.start is None:
+        raise FieldError("init", f"experiment needs a deterministic init shared by all "
+                         f"chains, got random preset {base.init!r}")
+    return base._init.start
 
 
 def _two_chains(n_chains: int) -> int:

@@ -104,6 +104,9 @@ _DRAW_TILE = 64
 # Default number of recorded states per trajectory (plus endpoints).
 _TARGET_RECORDS = 10_000
 
+# The most steps a chain may take: every step index, grid steps included, is an int64.
+_MAX_STEPS = 2**62
+
 InitSpec = Union[str, Sequence[float], np.ndarray]
 
 
@@ -191,9 +194,10 @@ def empirical_drift(
 class OjaConfig:
     """Everything needed to reproduce one chain (or one ensemble member).
 
-    ``init`` is either an explicit vector (normalized on use) or a preset
-    string: "uniform", "saddle:k", "near_saddle:k:eps", "warm:delta".  The
-    warm start puts v_1^2 = 1 - delta with the remaining mass spread evenly.
+    ``init`` is either an explicit vector or a preset string: "uniform",
+    "saddle:k", "near_saddle:k:eps", "warm:delta".  The warm start puts
+    v_1^2 = 1 - delta with the remaining mass spread evenly.  It is parsed and
+    checked once, here, into the private ``_init`` (an :class:`_Init`).
     ``seed`` is the master seed; the chain stream is ``chain_rng(seed, 0)``
     so that a lone chain coincides with chain 0 of an ensemble.  The bounded
     sampler needs beta <= 1/(3B), B = trace.  Each number is checked and kept
@@ -212,15 +216,13 @@ class OjaConfig:
         get_sampler(self.sampler)
         cap = 1.0 / (3.0 * self.spec.sample_bound) if self.sampler == "bounded" else math.inf
         checked = dict(beta=_check_real("beta", self.beta, 0.0, cap, "(]"),
-                       n_steps=_check_count("n_steps", self.n_steps, 0),
+                       n_steps=_check_count("n_steps", self.n_steps, 0, _MAX_STEPS),
                        seed=_check_count("seed", self.seed, 0, MAX_SEED))
         if self.record_stride is not None:
             checked["record_stride"] = _check_count("record_stride", self.record_stride)
+        checked["_init"] = _parse_init(self.spec, self.init)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
-        # Validate preset strings eagerly so config errors surface before any run.
-        if isinstance(self.init, str):
-            _parse_preset(self.spec, self.init)
 
     def resolved_stride(self) -> int:
         if self.record_stride is not None:
@@ -248,33 +250,67 @@ def _config_echo(chain: Optional[OjaConfig] = None, **fields) -> dict:
     return echo
 
 
-def _parse_preset(spec: EigenSpectrum, text: str):
-    """Parse an init preset string; returns (kind, params)."""
-    parts = text.split(":")
-    kind = parts[0]
-    if kind == "uniform":
-        if len(parts) != 1:
-            raise ValueError(f"preset 'uniform' takes no parameters, got {text!r}")
-        return ("uniform",)
-    if kind == "saddle":
-        if len(parts) != 2:
-            raise ValueError(f"preset 'saddle' needs an axis, e.g. 'saddle:2', got {text!r}")
-        return ("saddle", _check_count("saddle axis", int(parts[1]), 1, spec.d))
-    if kind == "near_saddle":
-        if len(parts) != 3:
-            raise ValueError(
-                f"preset 'near_saddle' needs axis and radius, e.g. 'near_saddle:2:1e-4', got {text!r}"
-            )
-        return ("near_saddle", _check_count("near_saddle axis", int(parts[1]), 1, spec.d),
-                _check_real("near_saddle radius", float(parts[2]), 0.0, 1.0, "()"))
-    if kind == "warm":
-        if len(parts) != 2:
-            raise ValueError(f"preset 'warm' needs a delta, e.g. 'warm:0.25', got {text!r}")
-        return ("warm", _check_real("warm delta", float(parts[1]), 0.0, 1.0, "()"))
-    raise ValueError(
-        f"unknown init preset {text!r}; expected 'uniform', 'saddle:k', "
-        f"'near_saddle:k:eps' or 'warm:delta'"
-    )
+class _Init(NamedTuple):
+    """An init as :class:`OjaConfig` parses it.
+
+    ``axis`` is the k of "saddle:k" and "near_saddle:k:eps" (else None) and
+    ``radius`` the eps of the latter; ``start`` is the unit start of an init
+    that draws nothing, read-only, and None for "uniform" and "near_saddle".
+    """
+
+    axis: Optional[int]
+    radius: float
+    start: Optional[np.ndarray]
+
+    def draw(self, d: int, rng: np.random.Generator) -> np.ndarray:
+        """A chain's unit start; the random presets draw it from ``rng``."""
+        if self.start is not None:
+            return self.start
+        g = rng.standard_normal(d)
+        if self.axis is None:
+            return g / np.linalg.norm(g)
+        g[self.axis - 1] = 0.0
+        v = self.radius * (g / np.linalg.norm(g))
+        v[self.axis - 1] = 1.0
+        return v / np.linalg.norm(v)
+
+
+def _parse_init(spec: EigenSpectrum, init: InitSpec) -> _Init:
+    """Parse and check an init: a preset string, or a vector of shape (d,) whose
+    entries are finite and whose norm is a float above 1e-12.  ValueError otherwise."""
+    d = spec.d
+    axis, radius, start = None, 0.0, None
+    if not isinstance(init, str):
+        arr = _check_real("init vector", np.asarray(init, dtype=float))
+        if arr.shape != (d,):
+            raise ValueError(f"init vector must have shape ({d},), got {arr.shape}")
+        with np.errstate(over="ignore"):  # an overflow fails the check as inf
+            norm = float(np.linalg.norm(arr))
+        start = arr / _check_real("init vector norm", norm, 1e-12, math.inf, "(]")
+    else:
+        kind, *params = init.split(":")
+        takes = {"uniform": (0, "no parameters"), "saddle": (1, "an axis, e.g. 'saddle:2'"),
+                 "near_saddle": (2, "an axis and a radius, e.g. 'near_saddle:2:1e-4'"),
+                 "warm": (1, "a delta, e.g. 'warm:0.25'")}
+        if kind not in takes:
+            raise ValueError(f"unknown init preset {init!r}; expected 'uniform', 'saddle:k', "
+                             f"'near_saddle:k:eps' or 'warm:delta'")
+        if len(params) != takes[kind][0]:
+            raise ValueError(f"preset {kind!r} takes {takes[kind][1]}, got {init!r}")
+        if kind == "warm":
+            delta = _check_real("warm delta", float(params[0]), 0.0, 1.0, "()")
+            start = np.full(d, np.sqrt(delta / (d - 1)))
+            start[0] = np.sqrt(1.0 - delta)
+        elif kind == "near_saddle":
+            axis = _check_count("near_saddle axis", int(params[0]), 1, d)
+            radius = _check_real("near_saddle radius", float(params[1]), 0.0, 1.0, "()")
+        elif kind == "saddle":
+            axis = _check_count("saddle axis", int(params[0]), 1, d)
+            start = np.zeros(d)
+            start[axis - 1] = 1.0
+    if start is not None:
+        start.setflags(write=False)
+    return _Init(axis, radius, start)
 
 
 def resolve_init(spec: EigenSpectrum, init: InitSpec, rng: np.random.Generator) -> np.ndarray:
@@ -283,33 +319,7 @@ def resolve_init(spec: EigenSpectrum, init: InitSpec, rng: np.random.Generator) 
     Random presets consume the chain generator before the sample stream, in a
     fixed order, so trajectories stay reproducible.
     """
-    if isinstance(init, str):
-        parsed = _parse_preset(spec, init)
-        kind = parsed[0]
-        if kind == "uniform":
-            g = rng.standard_normal(spec.d)
-            return g / np.linalg.norm(g)
-        if kind == "saddle":
-            v = np.zeros(spec.d)
-            v[parsed[1] - 1] = 1.0
-            return v
-        if kind == "near_saddle":
-            _, k, eps = parsed
-            g = rng.standard_normal(spec.d)
-            g[k - 1] = 0.0
-            u = g / np.linalg.norm(g)
-            v = eps * u
-            v[k - 1] = 1.0
-            return v / np.linalg.norm(v)
-        if kind == "warm":
-            delta = parsed[1]
-            v = np.full(spec.d, np.sqrt(delta / (spec.d - 1)))
-            v[0] = np.sqrt(1.0 - delta)
-            return v
-    arr = np.asarray(init, dtype=float)
-    if arr.shape != (spec.d,):
-        raise ValueError(f"init vector must have shape ({spec.d},), got {arr.shape}")
-    return arr / _check_real("init vector norm", float(np.linalg.norm(arr)), 1e-12, math.inf, "(]")
+    return np.array(_parse_init(spec, init).draw(spec.d, rng))
 
 
 @dataclass(frozen=True, eq=False)
@@ -585,7 +595,7 @@ def _run_lockstep(base: OjaConfig, chains: range, rec_steps: np.ndarray,
     given.
     """
     rngs = [chain_rng(base.seed, i) for i in chains]
-    v = np.array([resolve_init(base.spec, base.init, rng) for rng in rngs])
+    v = np.array([base._init.draw(base.spec.d, rng) for rng in rngs])
     advance = (_axis_counts if base.sampler == "bounded" else _step_loop)(base, rngs, v)
     fault = (f"chain states left the unit sphere by step {{step}} (non-finite, or squared norm "
              f"off 1 by more than 1e-11); beta={base.beta} is likely too large for the "

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .oja import OjaConfig, Trajectory, _config_echo, _parse_preset
+from .oja import OjaConfig, Trajectory, _config_echo
 from .sde import phase1_exit_law, stationary_sin2
 from .spectrum import EigenSpectrum, _ROOT_FLOAT_MAX, _check_count, _check_real
 
@@ -206,10 +206,8 @@ class CrossingReport:
 
 def _saddle_index(cfg: OjaConfig, k: Optional[int]) -> int:
     """k when given, else the axis named by a 'saddle:k' / 'near_saddle:k:eps' init; in 2..d."""
-    if k is None and isinstance(cfg.init, str):
-        preset = _parse_preset(cfg.spec, cfg.init)
-        if preset[0] in ("saddle", "near_saddle"):
-            k = preset[1]
+    if k is None:
+        k = cfg._init.axis
     if k is None:
         raise ValueError("saddle index k is required when the init preset does not name one")
     return _check_count("k", k, 2, cfg.spec.d)

@@ -147,11 +147,11 @@ def ou_stationary_var(ou: OuSpec) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OuPath:
-    """One sampled path on a uniform time grid."""
+    """One sampled path on a uniform time grid, with the master seed that drew it."""
 
     times: np.ndarray  # (n_times,)
     states: np.ndarray  # (n_times, m)
-    seed: Optional[int]
+    seed: int
 
 
 def _step_count(spec: EigenSpectrum, name: str, t, dt: float) -> np.ndarray:
@@ -174,9 +174,10 @@ def _euler_maruyama(u: np.ndarray, rec_steps: np.ndarray, dt: float, coeffs, see
     at t = step * dt, each a scalar or a length-m vector.  A block's xi, drawn
     as one draw per step would, fill one reused buffer (new ones cost page
     faults), and each step's states overwrite its noise.  Returns the
-    (n_rec, n_paths, m) states after the sorted, unique ``rec_steps``.
+    (n_rec, n_paths, m) states after the sorted, unique ``rec_steps``, drawn
+    from ``chain_rng(seed)``.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else chain_rng(seed)
+    rng = chain_rng(seed)
     root_dt, done = math.sqrt(dt), 0
     block = max(1, min(SAMPLE_BLOCK, _DRAW_TILE * SAMPLE_BLOCK // u.size))
     noise = np.empty((block,) + u.shape)
@@ -197,13 +198,12 @@ def _euler_maruyama(u: np.ndarray, rec_steps: np.ndarray, dt: float, coeffs, see
     return _walk_blocks(u, rec_steps, block, advance, lambda s: not np.isfinite(s).all(), fault)
 
 
-def _single_path(spec: EigenSpectrum, u0: np.ndarray, t_end: float, dt: float, seed,
+def _single_path(spec: EigenSpectrum, u0: np.ndarray, t_end: float, dt: float, seed: int,
                  coeffs) -> OuPath:
     """One path from the (m,) state u0, recorded at every step up to t_end."""
     steps = np.arange(_step_count(spec, "t_end", t_end, dt) + 1)
     states = _euler_maruyama(u0[None, :], steps, dt, coeffs, seed)[:, 0]
-    return OuPath(times=steps * dt, states=states,
-                  seed=None if isinstance(seed, np.random.Generator) else int(seed))
+    return OuPath(times=steps * dt, states=states, seed=int(seed))
 
 
 def _grid_states(spec: EigenSpectrum, u0: np.ndarray, t_grid, dt: float, n_paths: int, seed,
@@ -227,8 +227,8 @@ def simulate_ou(
 ) -> OuPath:
     """Euler-Maruyama discretization of the anchored block.
 
-    ``seed`` is an integer master seed (recorded on the path) or an existing
-    generator.  ``diffusion_scale=0`` switches the noise off, leaving the
+    ``seed`` is the integer master seed, recorded on the path.
+    ``diffusion_scale=0`` switches the noise off, leaving the
     exact exponential mean flow for step-level verification.
     """
     scale = _check_real("diffusion_scale", diffusion_scale, 0.0)
@@ -241,10 +241,12 @@ def ou_ensemble_moments(ou: OuSpec, u0, t_grid, dt: float, n_paths: int, seed):
     Returns (times, mean, var) with rows aligned to ``t_grid`` snapped to the
     step grid.  One generator drives all paths in lockstep, so the result is
     deterministic for a given seed but individual paths are not addressable.
+    A mean or variance that overflows raises ``FloatingPointError``.
     """
     times, states, sel = _grid_states(ou.spec, _as_u0(ou, u0), t_grid, dt, n_paths, seed,
                                       _ou_coeffs(ou, 1.0))
-    return times, states.mean(axis=1)[sel], states.var(axis=1, ddof=1)[sel]
+    with np.errstate(over="raise"):
+        return times, states.mean(axis=1)[sel], states.var(axis=1, ddof=1)[sel]
 
 
 def stationary_sin2(spec: EigenSpectrum, beta: float) -> float:

@@ -61,6 +61,7 @@ CALLS = {
     "make_spectrum(lambda_1)": lambda x: make_spectrum([x, 1.0]),
     "make_spectrum(lambda_2)": lambda x: make_spectrum([2.0, x]),
     "OjaConfig(beta)": lambda x: OjaConfig(spec=SPEC, beta=x, n_steps=10),
+    "OjaConfig(init[0])": lambda x: OjaConfig(spec=SPEC, beta=1e-2, n_steps=10, init=[x, 1.0]),
     "oja_step(beta)": lambda x: oja_step(V, Y, x),
     "increment_parts(beta)": lambda x: increment_parts(V, Y, x),
     "empirical_drift(beta)": lambda x: empirical_drift(SPEC, V, x, 4, chain_rng(0)),

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 import oja_diffusion
 from oja_diffusion import __version__, rate_bound_sin2, stepsize_rule
-from oja_diffusion.cli import main
+from oja_diffusion import montecarlo
+from oja_diffusion.cli import cmd_mc, main
 from oja_diffusion.montecarlo import _worker_count
 
 RUN_CFG = {"spec": [2.0, 1.0], "beta": 1e-3, "n_steps": 400, "seed": 7}
@@ -358,6 +359,10 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
     ("sde", {"spec": [2, 1], "t_end": 1.0, "dt": 1e-3, "n_paths": 10, "t_grid": [0.5, 1e300]},
      "t_grid"),
     ("sde", {"spec": [2, 1], "t_end": 1e300, "dt": 1e-3, "n_paths": 0}, "t_end"),
+    ("mc", {"experiment": "ode_convergence", "spec": [2, 1], "beta": 1e-3, "n_chains": 4,
+            "t_grid": [1e300]}, "t_grid"),
+    ("mc", {"experiment": "ode_convergence", "spec": [2, 1], "beta": 1e-5, "n_chains": 2,
+            "t_grid": [1e15], "n_steps": 10**30}, "n_steps"),
 ], ids=["ode-nan-t_grid", "ode-nan-grid-object", "mc-nan-t_grid", "sde-nan-u0",
         "sde-inf-t_end", "mc-short-t_list", "mc-fractional-t_list", "rates-nan-b",
         "rates-text-sigma_star2",
@@ -367,13 +372,23 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
         "phases-trajectory-n_steps-abc", "phases-missing-trajectory_csv", "run-n_steps-abc",
         "run-n_steps-null", "sde-text-n_paths", "run-text-include_states",
         "sde-nan-dt", "mc-sde_covariance-one-chain", "mc-finite_sample-one-chain",
-        "mc-ode_convergence-one-chain", "sde-huge-t_grid", "sde-huge-t_end"])
+        "mc-ode_convergence-one-chain", "sde-huge-t_grid", "sde-huge-t_end",
+        "mc-huge-t_grid-default-n_steps", "mc-huge-n_steps"])
 def test_bad_input_is_exit_2_before_any_file(tmp_path, capsys, command, payload, field):
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"config field '{field}'" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_mc_default_n_steps_is_the_step_of_the_last_grid_time(monkeypatch):
+    """Only the parse step runs: t = 168.1 at beta = 1e-5 maps to step 16810000."""
+    built = []
+    monkeypatch.setattr(montecarlo, "prepare_ode_convergence", built.append)
+    cmd_mc({"experiment": "ode_convergence", "spec": [2, 1], "beta": 1e-5, "t_grid": [168.1],
+            "n_chains": 2}, 0, 1)
+    assert built[0].base.n_steps == 16_810_000
 
 
 # Small valid configs, one per subcommand (and per mc experiment); the fuzz below

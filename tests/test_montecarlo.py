@@ -50,6 +50,9 @@ def test_grid_to_steps():
     # times sitting a hair below a step boundary still map onto it
     np.testing.assert_array_equal(grid_to_steps([0.9999999999], 1e-3, 2000), [1000])
     np.testing.assert_array_equal(grid_to_steps([0.0005], 1e-3, 2000), [0])
+    # a horizon past 2**62 steps is refused, not cast past the int64 range
+    with pytest.raises(ValueError, match="n_steps"):
+        grid_to_steps([1e15], 1e-5, 10**30)
 
 
 @pytest.mark.filterwarnings("error")  # NaN cast to an integer only warns

@@ -199,6 +199,13 @@ def test_config_validation():
         OjaConfig(spec=SPEC2, beta=1e-3, n_steps=10, init="warm:1.5")
     with pytest.raises(ValueError, match="radius"):
         OjaConfig(spec=SPEC2, beta=1e-3, n_steps=10, init="near_saddle:2:2.0")
+    # a vector init is checked when the config is built, not when a chain runs
+    with pytest.raises(ValueError, match="init vector norm"):
+        OjaConfig(spec=SPEC2, beta=1e-3, n_steps=10, init=[0.0, 0.0])
+    with pytest.raises(ValueError, match="shape"):
+        OjaConfig(spec=SPEC2, beta=1e-3, n_steps=10, init=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="init vector must be a finite"):
+        OjaConfig(spec=SPEC2, beta=1e-3, n_steps=10, init=[math.nan, 1.0])
 
 
 def test_resolved_stride():
