@@ -62,6 +62,7 @@ from .spectrum import (
     GAUSSIAN_SAMPLER_NOTE,
     _check_count,
     _check_real,
+    _out_of_range,
     chain_rng,  # unused here; the benchmark tracer patches it on this module
     derive_seed,
     get_sampler,
@@ -144,18 +145,23 @@ def run_ensemble_states(
 ) -> np.ndarray:
     """States of every chain at the requested steps: shape (n_rec, n_chains, d).
 
-    ``rec_steps`` must be strictly increasing and within [0, n_steps].  The
-    worker count only chunks the chain axis, so it never affects values: with
-    more than one worker (:func:`_worker_count`) each chunk runs in a forked
-    process.  Without ``fork`` the chains run serially.
+    ``rec_steps`` must be a nonempty 1-D integer array, strictly increasing
+    within [0, n_steps].  The worker count only chunks the chain axis, so it
+    never affects values: with more than one worker (:func:`_worker_count`)
+    each chunk runs in a forked process.  Without ``fork`` the chains run serially.
     """
     n_chains = _check_count("n_chains", n_chains)
     workers = _check_count("workers", workers)
-    rec_steps = np.asarray(rec_steps, dtype=int)
-    if rec_steps.size == 0 or np.any(np.diff(rec_steps) <= 0):
-        raise ValueError("record steps must be nonempty and strictly increasing")
-    if rec_steps[0] < 0 or rec_steps[-1] > base.n_steps:
-        raise ValueError("record steps must lie within [0, n_steps]")
+    try:
+        steps = np.asarray(rec_steps)
+    except ValueError:  # a ragged nesting
+        steps = np.asarray(rec_steps, dtype=object)
+    # Compared, not differenced: a difference of unsigned steps wraps.
+    if not (steps.ndim == 1 and steps.size and np.issubdtype(steps.dtype, np.integer)
+            and np.all(steps[1:] > steps[:-1]) and steps[0] >= 0 and steps[-1] <= base.n_steps):
+        raise _out_of_range("record steps", "a nonempty, strictly increasing 1-D integer array",
+                            steps, 0, base.n_steps, "[]")
+    rec_steps = steps.astype(int)
     workers = _worker_count(workers, n_chains)
     if workers > 1:
         return _run_forked(base, n_chains, rec_steps, workers)

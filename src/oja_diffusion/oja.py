@@ -47,14 +47,14 @@ At d >= 3 the order differs and states move by rounding only: against
 ``oja_step`` replayed on the same stream they agree within 1e-13 per
 coordinate.
 
-For the bounded stream it uses the closed form: each draw
-+/- sqrt(tr) e_i only scales coordinate i by 1 + beta tr, so the updates
-commute and the state after n steps is v_0 * (1 + beta tr)^c(n), normalised,
-where c(n) counts the draws of each axis (the discrete form of the logistic
-flow).  It agrees with the step loop to about 1e-14 per coordinate.  One
-block walk runs both streams, and the Euler-Maruyama SDEs of ``sde`` too: after
-each block it checks the states recorded in it (here finite, unit norm within
-1e-11; there finite) and raises ``FloatingPointError`` when one is not.
+For the bounded stream it uses the closed form: each draw +/- sqrt(tr) e_i only
+scales coordinate i by 1 + beta tr, so the updates commute and the state after n
+steps is v_0 * (1 + beta tr)^c(n), normalised, where c(n) counts the draws of each
+axis (the discrete form of the logistic flow), taken by one ``bincount`` per tile
+of chains.  It agrees with the step loop to about 1e-14 per coordinate.  One block
+walk runs both streams, and the Euler-Maruyama SDEs of ``sde`` too: after each
+block it checks the states recorded in it (here finite, unit norm within 1e-11;
+there finite) and raises ``FloatingPointError`` when one is not.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .spectrum import (
-    EigenSpectrum, GAUSSIAN_SAMPLER_NOTE, MAX_SEED, chain_rng, get_sampler, _axis_draws,
+    EigenSpectrum, GAUSSIAN_SAMPLER_NOTE, MAX_SEED, chain_rng, get_sampler, _axis_uniforms,
     _check_count, _check_real,
 )
 
@@ -277,14 +277,17 @@ class _Init(NamedTuple):
 
 def _parse_init(spec: EigenSpectrum, init: InitSpec) -> _Init:
     """Parse and check an init: a preset string, or a vector of shape (d,) whose
-    entries are finite and whose norm is a float above 1e-12.  ValueError otherwise."""
+    entries are finite and whose norm is above 1e-12.  ValueError otherwise."""
     d = spec.d
     axis, radius, start = None, 0.0, None
     if not isinstance(init, str):
         arr = _check_real("init vector", np.asarray(init, dtype=float))
         if arr.shape != (d,):
             raise ValueError(f"init vector must have shape ({d},), got {arr.shape}")
-        with np.errstate(over="ignore"):  # an overflow fails the check as inf
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(arr))
+        if norm == math.inf:  # the squares overflow: scale by the largest entry first
+            arr = arr / np.abs(arr).max()
             norm = float(np.linalg.norm(arr))
         start = arr / _check_real("init vector norm", norm, 1e-12, math.inf, "(]")
     else:
@@ -517,32 +520,40 @@ def _axis_counts(base: OjaConfig, rngs: list, v0: np.ndarray):
     rest alone, so the updates commute: after n steps the state is
     v0 * (1 + beta tr)^c(n), normalised, where c(n) counts the draws of each
     axis.  It is formed in log space, shifted by its row maximum, so it never
-    overflows, and coordinates that start at 0 stay exactly 0.  The sign draw
-    of each sample is consumed and discarded, as the update ignores it.
+    overflows, and coordinates that start at 0 stay exactly 0.  A block is
+    counted :data:`_DRAW_TILE` chains at a time: their axis uniforms fill one
+    buffer, their signs are skipped, their axes are found on the axis cdf (by
+    d - 1 compares up to d = 8), and one ``bincount`` over (segment, chain,
+    axis) counts them, a segment being the draws between two records.
     """
-    spec = base.spec
+    d, cdf = base.spec.d, base.spec._axis_cdf
     with np.errstate(divide="ignore"):
         log_v0 = np.log(np.abs(v0))
     sign = np.sign(v0)
-    log_gain = np.log1p(base.beta * spec.trace)
-    # Per block: the axes, their one-hot and its int16 counts take 1 + 3d
-    # bytes a draw, against 8d for the float samples the step loop needs.
-    axes = np.arange(spec.d)
-    idx = np.empty((SAMPLE_BLOCK, len(rngs)), dtype=np.min_scalar_type(spec.d - 1))
+    log_gain = np.log1p(base.beta * base.spec.trace)
+    tile = min(len(rngs), _DRAW_TILE)
+    uniforms = np.empty(tile * SAMPLE_BLOCK)
+    keys = np.empty(tile * SAMPLE_BLOCK, dtype=np.intp)
     counts = np.zeros(v0.shape, dtype=np.int64)
 
     def advance(blk: int, offsets: np.ndarray, dest: np.ndarray) -> None:
-        nonlocal counts
-        for i, rng in enumerate(rngs):
-            idx[:blk, i] = _axis_draws(spec, rng, blk)[0]
-        # Draws per axis between consecutive records, then up to each record
-        # and to the block end.  A block holds at most SAMPLE_BLOCK draws, so
-        # int16 counts are exact.
-        starts = np.concatenate(([0], offsets[offsets < blk]))
-        hits = np.add.reduceat(idx[:blk, :, None] == axes, starts, axis=0, dtype=np.int16)
-        np.cumsum(hits, axis=0, out=hits)
-        dest[...] = hits[: len(offsets)]
-        dest += counts
+        segment = offsets[offsets < blk].searchsorted(np.arange(blk), side="right")
+        for lo in range(0, len(rngs), tile):
+            t = min(tile, len(rngs) - lo)
+            u = uniforms[:t * blk].reshape(t, blk)
+            for row, rng in zip(u, rngs[lo:lo + t]):
+                _axis_uniforms(rng, row, signs=False)
+            key = keys[:t * blk].reshape(t, blk)
+            np.add.outer(np.arange(t) * d, segment * (t * d), out=key)
+            if d <= 8:
+                for c in cdf[:-1]:
+                    key += u >= c
+            else:
+                key += cdf.searchsorted(u, side="right")
+            hits = np.bincount(key.ravel(), minlength=(segment[-1] + 1) * t * d).reshape(-1, t, d)
+            np.cumsum(hits, axis=0, out=hits)
+            np.add(hits[: len(offsets)], counts[lo:lo + t], out=dest[:, lo:lo + t])
+            counts[lo:lo + t] += hits[-1]
         # Shift the (exact, integer) counts so the row's largest is 0 before
         # scaling: the exponents of comparable coordinates stay small, and so
         # does their rounding error, however long the chain.
@@ -553,7 +564,6 @@ def _axis_counts(base: OjaConfig, rngs: list, v0: np.ndarray):
         np.exp(dest, out=dest)
         dest *= sign
         dest /= np.sqrt(np.einsum("...d,...d->...", dest, dest))[..., None]
-        counts += hits[-1]
 
     return advance
 

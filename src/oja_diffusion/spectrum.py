@@ -136,10 +136,6 @@ def make_spectrum(lambdas: ArrayLike) -> EigenSpectrum:
     return EigenSpectrum(lambdas=arr)
 
 
-def _normalize_size(size: Optional[int]) -> int:
-    return 1 if size is None else _check_count("size", size)
-
-
 def sample_bounded(
     spec: EigenSpectrum, rng: np.random.Generator, size: Optional[int] = None
 ) -> np.ndarray:
@@ -150,7 +146,7 @@ def sample_bounded(
     Returns shape (d,) when ``size`` is None, else (size, d).  A single draw
     equals the first row of a block draw from the same generator state.
     """
-    n = _normalize_size(size)
+    n = 1 if size is None else _check_count("size", size)
     idx, signs = _axis_draws(spec, rng, n)
     y = np.zeros((n, spec.d))
     y[np.arange(n), idx] = signs * np.sqrt(spec.trace)
@@ -158,14 +154,22 @@ def sample_bounded(
 
 
 def _axis_draws(spec: EigenSpectrum, rng: np.random.Generator, n: int):
-    """Axes and signs of n bounded-stream draws: the axis draw, then the sign draw.
+    """Axes and signs of n bounded-stream draws; the axes are those of
+    ``rng.choice(d, size=n, p=lambda/tr)``, without its per-call checks."""
+    u = np.empty(n)
+    signs = _axis_uniforms(rng, u)
+    return spec._axis_cdf.searchsorted(u, side="right"), signs * 2 - 1
 
-    The axis draw is ``rng.choice(d, size=n, p=lambda/tr)`` without its
-    per-call validation: the same cdf searched with the same uniforms.
-    """
-    idx = spec._axis_cdf.searchsorted(rng.random(n), side="right")
-    signs = rng.integers(0, 2, size=n) * 2 - 1
-    return idx, signs
+
+def _axis_uniforms(rng: np.random.Generator, out: np.ndarray, signs: bool = True):
+    """Draw a bounded-stream block: its axis uniforms into ``out``, then its signs, as 0 or 1.
+
+    ``signs=False`` skips an even number of signs, each one 32-bit half of a
+    64-bit word, by using up as many words as drawing them would."""
+    rng.random(out=out)
+    if signs or len(out) % 2:
+        return rng.integers(0, 2, size=len(out))
+    rng.bit_generator.random_raw(len(out) // 2)
 
 
 def sample_gaussian(
@@ -177,7 +181,7 @@ def sample_gaussian(
     for i != k and E[Y_k^4] = 3 lambda_k^2.  Unbounded: there is no almost-sure
     norm bound, which outputs that use this sampler must flag.
     """
-    n = _normalize_size(size)
+    n = 1 if size is None else _check_count("size", size)
     y = rng.standard_normal((n, spec.d))
     y *= spec._root_lambdas
     return y[0] if size is None else y

@@ -60,7 +60,7 @@ def test_chain_is_an_ensemble_of_one(d, sampler, seed, n_chains, workers, chain,
 @st.composite
 def bounded_runs(draw):
     """A valid spectrum, a stepsize within 1/(3 tr), an init and increasing records."""
-    tail = sorted(draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=5)), reverse=True)
+    tail = sorted(draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=11)), reverse=True)
     spec = make_spectrum([tail[0] + draw(st.floats(0.01, 5.0))] + tail)
     beta = draw(st.floats(0.01, 1.0)) / (3.0 * spec.trace)
     presets = ["uniform", f"saddle:{spec.d}", "near_saddle:1:0.01", "warm:0.3"]
@@ -170,6 +170,26 @@ def test_gaussian_kernel_does_not_depend_on_the_chain_count(d):
     alone = np.stack([_run_lockstep(cfg, range(i, i + 1), steps)[:, 0] for i in range(65)], axis=1)
     for workers in (1, 2):
         np.testing.assert_array_equal(run_ensemble_states(cfg, 65, steps, workers=workers), alone)
+
+
+@pytest.mark.parametrize("d", [2, 3, 9, 50])
+def test_bounded_kernel_does_not_depend_on_the_chain_count(d):
+    # The bounded kernel counts a block 64 chains at a time, finding the axes
+    # by compares up to d = 8 and by searchsorted above.  Its counts are exact
+    # integers, so a chain gives the same bits alone, in runs that cross one
+    # and two tiles, and in either worker chunk; the final block has 77 steps.
+    spec = make_spectrum(np.r_[2.0, np.linspace(1.0, 0.1, d - 1)])
+    cfg = OjaConfig(spec=spec, beta=0.5 / (3.0 * spec.trace), n_steps=SAMPLE_BLOCK + 77,
+                    init="uniform", seed=d, record_stride=100)
+    steps = record_steps(cfg.n_steps, 100)
+    np.testing.assert_array_equal(run_chain(cfg).states,
+                                  run_ensemble_states(cfg, 3, steps)[:, 0])
+    alone = np.stack([_run_lockstep(cfg, range(i, i + 1), steps)[:, 0] for i in range(130)],
+                     axis=1)
+    for n_chains in (65, 130):
+        for workers in (1, 2):
+            np.testing.assert_array_equal(
+                run_ensemble_states(cfg, n_chains, steps, workers=workers), alone[:, :n_chains])
 
 
 @pytest.mark.parametrize("beta, period", [(1e-4, SAMPLE_BLOCK), (0.05, 64)])

@@ -129,9 +129,23 @@ def test_ensemble_states_rejects_bad_chain_counts(n_chains):
 
 
 def test_ensemble_rejects_unsorted_record_steps():
+    # Only a nonempty 1-D integer array, strictly increasing within [0, n_steps],
+    # passes: no fractional or textual step is rounded or parsed into another,
+    # and a wrapped difference of unsigned steps does not pass for an increase.
     base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=1000, seed=1)
-    with pytest.raises(ValueError):
-        run_ensemble_states(base, 3, np.array([500, 100]))
+    for rec in ([500, 100], [0.999999], [-0.5, 3], ["3"], [1e30], [[1, 2]], 10, [],
+                [[1], [1, 2]], [True, False], [-1, 3], [0, 1001], [3, 3],
+                np.array([5, 3], dtype=np.uint64), [2**64 - 1]):
+        with pytest.raises(ValueError, match=r"^record steps must be a nonempty, strictly "
+                                             r"increasing 1-D integer array in \[0, 1000\], got "):
+            run_ensemble_states(base, 3, rec)
+
+
+def test_ensemble_takes_record_steps_of_any_integer_dtype():
+    base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=300, seed=1)
+    ref = run_ensemble_states(base, 2, np.array([0, 7, 300]))
+    for rec in ([0, 7, 300], np.array([0, 7, 300], dtype=np.uint16)):
+        np.testing.assert_array_equal(run_ensemble_states(base, 2, rec), ref)
 
 
 def test_ensemble_summary_statistics():

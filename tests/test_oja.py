@@ -208,6 +208,19 @@ def test_config_validation():
         OjaConfig(spec=SPEC2, beta=1e-3, n_steps=10, init=[math.nan, 1.0])
 
 
+@pytest.mark.parametrize("init, start", [([1e200, 1.0], [1.0, 1e-200]),
+                                         ([1e308, 1e308], [math.sqrt(0.5)] * 2),
+                                         ([-1e308, 1.0], [-1.0, 1e-308])])
+def test_init_vector_whose_squared_norm_overflows_gives_a_unit_start(init, start):
+    # The norm of these vectors overflows; scaled by the largest entry first,
+    # they name a direction like any other.
+    cfg = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=10, init=init)
+    assert np.all(np.isfinite(cfg._init.start))
+    np.testing.assert_allclose(cfg._init.start, start, rtol=1e-15)
+    assert abs(np.linalg.norm(cfg._init.start) - 1.0) <= 1e-15
+    np.testing.assert_allclose(run_chain(cfg).states[0], start, rtol=1e-15)
+
+
 def test_resolved_stride():
     cfg = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=1_000_000)
     assert cfg.resolved_stride() == 100

@@ -10,7 +10,8 @@ from oja_diffusion import (
     sample_bounded,
     sample_gaussian,
 )
-from oja_diffusion.spectrum import MAX_SEED, SAMPLERS, _axis_draws, derive_seed, get_sampler
+from oja_diffusion.spectrum import (MAX_SEED, SAMPLERS, _axis_draws, _axis_uniforms,
+                                    derive_seed, get_sampler)
 
 
 def test_make_spectrum_fields():
@@ -126,6 +127,29 @@ def test_axis_draws_match_generator_choice(n):
         assert idx.dtype == expected.dtype
         np.testing.assert_array_equal(signs, ref.integers(0, 2, size=n) * 2 - 1)
         assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("n", [1, 7, 1024])
+def test_skipped_signs_leave_the_stream_where_drawn_signs_do(n):
+    # The bounded kernel skips each block's signs instead of drawing them; the
+    # generator must then go on exactly as after sample_bounded's block.
+    sp = make_spectrum([5.0, 4.0, 3.0, 2.0, 1.0])
+    rng, ref = chain_rng(9, 0), chain_rng(9, 0)
+    u = np.empty(n)
+    for _ in range(3):
+        _axis_uniforms(rng, u, signs=False)
+        idx, _ = _axis_draws(sp, ref, n)
+        np.testing.assert_array_equal(sp._axis_cdf.searchsorted(u, side="right"), idx)
+    # Only the spare 32-bit half kept for the next 32-bit draw may differ, and
+    # only while none is held, when it is never read.
+    state, expected = rng.bit_generator.state, ref.bit_generator.state
+    np.testing.assert_array_equal(state["state"]["counter"], expected["state"]["counter"])
+    np.testing.assert_array_equal(state["buffer"], expected["buffer"])
+    assert (state["buffer_pos"], state["has_uint32"]) == (expected["buffer_pos"],
+                                                           expected["has_uint32"])
+    assert not state["has_uint32"] or state["uinteger"] == expected["uinteger"]
+    np.testing.assert_array_equal(rng.integers(0, 2, size=9), ref.integers(0, 2, size=9))
+    assert rng.random() == ref.random()
 
 
 def test_get_sampler():
