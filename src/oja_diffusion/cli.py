@@ -6,19 +6,18 @@ Subcommands: run, ode, sde, phases, mc, rates.  Each takes a JSON config via
 
 1. parse argv.  This module imports only the standard library, so
    --version, --help and a usage error exit before numpy or any library
-   module is loaded.
-2. import and parse the config: the subcommand imports the library names
-   it uses (``run``, ``ode`` and ``sde`` never load montecarlo or phases),
-   reads every config field and builds every library object its run needs
-   (spectrum, chain and ensemble configs, OU block, thresholds, grids, an
-   input trajectory, the cutoff table); for ``mc`` that ends in the
-   experiment's ``prepare_*``, which checks its inputs and returns its run.
-   The library checks every field as written, in the object or call that
-   takes it; a value it only sees at run time (t_end, grid times, n_paths)
-   gets the same check here.  A bad field is a ConfigError, "config field
-   '<key>': <name> must be <kind> in <interval>, got <value>" for a number;
-   the exit code is 2 and nothing has been written, not even the output
-   directory.
+   module is loaded.  Each subcommand's config keys, with their defaults and
+   help, are declared once, in ``_KEYS`` (and ``_EXPERIMENTS`` for mc) and
+   ``_HELP``; its --help lists them from there.
+2. import and parse the config.  A key repeated in a JSON object, or one the
+   subcommand (for mc, the experiment) does not declare, is refused before
+   any other field is read.  The subcommand then imports the library names it
+   uses (``run``, ``ode`` and ``sde`` never load montecarlo or phases) and
+   builds every library object its run needs, each of which checks the
+   fields it takes; for ``mc`` that ends in the experiment's ``prepare_*``.
+   A bad field is a FieldError, "config field '<key>': <name> must be <kind>
+   in <interval>, got <value>" for a number; the exit code is 2 and nothing
+   has been written, not even the output directory.
 3. begin: manifest.json, naming the command, config, seed, tool version, the
    requested workers with the processes the run uses, and the time the
    first two steps took, is written atomically.
@@ -28,9 +27,6 @@ Subcommands: run, ode, sde, phases, mc, rates.  Each takes a JSON config via
    writes them in that order, then the manifest again with their wall time,
    the time of each stage and their hashes.  Any exception here is a runtime
    error and exits 1; a run that fails leaves only manifest.json.
-
-Every file goes through one temp-then-rename writer, so an interrupted or
-failed write leaves neither a partial file nor a stray temp file.
 """
 
 from __future__ import annotations
@@ -49,35 +45,80 @@ from functools import partial
 from . import __version__
 
 ENV_OUT = "OJA_DIFFUSION_OUT"
-_EXPERIMENTS = ("ode_convergence", "sde_covariance", "finite_sample", "phase_portrait")
 
-
-class ConfigError(ValueError):
-    """Invalid configuration; the message names the failing field."""
-
-
+# The config keys of each subcommand and mc experiment with their defaults (_REQUIRED: none),
+# and one help line per key, whose "; null: ..." clause shows only where the default is null.
 _REQUIRED = object()
+_SEED = {"seed": 0}
+_CHAIN = {"beta": _REQUIRED, "n_steps": _REQUIRED, "init": "uniform", "sampler": "bounded",
+          "record_stride": None}
+_GAUSSIAN = {"sampler": "gaussian"}  # the stream the diffusion limits are calibrated to
+_EXPERIMENTS = {
+    "ode_convergence": {"t_grid": _REQUIRED, **_CHAIN, "n_steps": None, "init": "warm:0.5"},
+    "sde_covariance": {"t_grid": _REQUIRED, "k": 1, **_CHAIN, "n_steps": None, "init": None,
+                       **_GAUSSIAN},
+    "finite_sample": {"t_list": _REQUIRED, **_GAUSSIAN},
+    "phase_portrait": {**_CHAIN, "init": "saddle:2", **_GAUSSIAN, "delta": _REQUIRED, "k": None},
+}
+_KEYS = {
+    "run": {"spec": _REQUIRED, **_CHAIN, "include_states": True, **_SEED},
+    "ode": {"spec": _REQUIRED, "v0": _REQUIRED, "t_grid": _REQUIRED, "delta": None, **_SEED},
+    "sde": {"spec": _REQUIRED, "k": 1, "t_end": _REQUIRED, "dt": _REQUIRED, "u0": 0.0,
+            "n_paths": 1000, "t_grid": None, **_SEED},
+    "phases": {"spec": _REQUIRED, "delta": _REQUIRED, "k": 2, "betas_for_cutoff": None,
+               "trajectory_csv": None, **_CHAIN, **_SEED},
+    "rates": {"spec": _REQUIRED, "t_samples": _REQUIRED, "b": None, "sigma_star2": None, **_SEED},
+    "mc": {"experiment": _REQUIRED, "spec": _REQUIRED, "n_chains": 200, **_SEED},
+}
+_HELP = {
+    "experiment": ", ".join(_EXPERIMENTS),
+    "spec": "eigenvalues: positive, descending, with a strict top gap",
+    "beta": "stepsize, > 0; at most 1/(3 trace) for the bounded sampler",
+    "n_steps": "update steps, in [0, 2^62]; null: the step of the last t_grid time",
+    "init": '"uniform", "saddle:k", "near_saddle:k:eps", "warm:delta" or a vector; null: e_k',
+    "sampler": '"bounded" or "gaussian"',
+    "record_stride": "record every k-th step; null: n_steps // 10000, at least 1",
+    "include_states": "write the states, not only sin^2",
+    "v0": "initial vector, or an init as in run",
+    "t_grid": 'times >= 0: a list, or {"start": a, "stop": b, "num": n}; null: 11 from 0 to t_end',
+    "delta": "phase threshold, in (0, 1/2); null: no time to reach v_1^2 = 1 - delta",
+    "k": "1-based axis: the OU anchor e_k, or the saddle (>= 2); null: the init's saddle",
+    "t_end": "horizon of the single path, in diffusion time",
+    "dt": "Euler step, in (0, 1e-2/lambda_1]",
+    "u0": "initial rescaled state, a number or a (d-1)-vector",
+    "n_paths": "paths of the moment table; 0 or 1 skips it",
+    "betas_for_cutoff": "stepsizes; adds cutoff.csv of (beta, N2/N1, N3/N1)",
+    "trajectory_csv": "a run's trajectory.csv, read with its chain keys, for the empirical column",
+    "t_samples": "sample horizon T, >= e",
+    "b": "norm bound of the reference rates; null: the trace",
+    "sigma_star2": "minimax variance proxy; null: lambda_1 lambda_2 / gap^2",
+    "n_chains": "ensemble size, at least 2 except for phase_portrait",
+    "t_list": "horizons T, integers >= 100, each run at beta(T)",
+    "seed": "master seed, an integer in [0, 2^64); --seed overrides it",
+}
 
 
-@contextlib.contextmanager
-def _blame(key: str):
-    """Re-raise ValueError/TypeError/OverflowError/OSError as ConfigError naming e.field or key."""
-    try:
-        yield
-    except (ValueError, TypeError, OverflowError, OSError) as e:
-        raise ConfigError(f"config field '{getattr(e, 'field', key)}': {e}") from None
+def _declared(cfg: dict, command: str, experiment: str = "") -> dict:
+    """``cfg`` with the default of each declared key it lacks; FieldError on an undeclared key."""
+    from .spectrum import FieldError
+
+    keys = {**_KEYS[command], **_EXPERIMENTS.get(experiment, {})}
+    for key in cfg:
+        if key not in keys:
+            raise FieldError(key, f"unknown key for {command} {experiment}".rstrip()
+                             + f"; expected one of {', '.join(keys)}")
+    return {**{key: default for key, default in keys.items() if default is not _REQUIRED}, **cfg}
 
 
-def _field(cfg: dict, key: str, convert=lambda v: v, default=_REQUIRED):
-    """``convert(cfg[key])``, or ``convert(default)`` when the key is absent.
+def _field(cfg: dict, key: str, convert=lambda v: v):
+    """``convert(cfg[key])``; a missing key, or any error of the conversion (a library
+    constructor or check included), is a FieldError naming ``key``."""
+    from .spectrum import _blame
 
-    A missing required key, or any error of the conversion (a library
-    constructor or check included), is a ConfigError naming ``key``.
-    """
-    if key not in cfg and default is _REQUIRED:
-        raise ConfigError(f"config field '{key}' is required")
     with _blame(key):
-        return convert(cfg.get(key, default))
+        if key not in cfg:
+            raise ValueError("required key is missing")
+        return convert(cfg[key])
 
 
 # Converters for _field: each returns the parsed value or raises ValueError/TypeError.
@@ -94,21 +135,20 @@ def _optional(convert):
     return lambda v: None if v is None else convert(v)
 
 
-def _sampler(name) -> str:
-    from .spectrum import get_sampler
-
-    get_sampler(name)
+def _experiment(name) -> str:
+    if not (isinstance(name, str) and name in _EXPERIMENTS):
+        raise ValueError(f"unknown experiment {name!r}; expected one of {', '.join(_EXPERIMENTS)}")
     return name
 
 
 def _grid(val):
-    """A nonempty list of times or a {"start", "stop", "num"} object, as an array of times >= 0."""
+    """A nonempty list of times >= 0, or an object of exactly start, stop and num, as an array."""
     import numpy as np
 
     from .spectrum import _check_count, _check_real
 
     at = partial(_check_real, "t_grid", low=0.0)
-    if isinstance(val, dict) and val.keys() >= {"start", "stop", "num"}:
+    if isinstance(val, dict) and val.keys() == {"start", "stop", "num"}:
         return np.linspace(at(val["start"]), at(val["stop"]), _check_count("num", val["num"]))
     if not isinstance(val, list):
         raise TypeError(f"expected a list of times or a start/stop/num object, got {val!r}")
@@ -116,55 +156,47 @@ def _grid(val):
     return np.array([at(t) for t in val])
 
 
-def _chain(cfg: dict, spec, seed: int, init="uniform", sampler="bounded", steps_for=None):
+def _chain(cfg: dict, spec, seed: int, steps_for=None):
     """The chain's OjaConfig, checking each field as it is read; ``steps_for(beta)``, when
-    given, is the default n_steps.  The sampler comes last, as its stepsize cap blames beta."""
+    given, replaces a null n_steps.  The sampler comes last, as its stepsize cap blames beta."""
     from dataclasses import replace
 
     from .oja import OjaConfig
+    from .spectrum import _blame, get_sampler
 
     chain = _field(cfg, "beta", lambda v: OjaConfig(spec=spec, beta=v, n_steps=0, seed=seed,
                                                     sampler="gaussian"))
-    default = _REQUIRED if steps_for is None or "n_steps" in cfg else steps_for(chain.beta)
-    chain = _field(cfg, "n_steps", lambda v: replace(chain, n_steps=v), default)
-    sampler = _field(cfg, "sampler", _sampler, sampler)
-    chain = _field(cfg, "init", lambda v: replace(chain, init=v), init)
-    chain = _field(cfg, "record_stride", lambda v: replace(chain, record_stride=v), None)
+    chain = _field(cfg, "n_steps", lambda v: replace(
+        chain, n_steps=steps_for(chain.beta) if v is None and steps_for else v))
+    sampler = _field(cfg, "sampler", lambda v: get_sampler(v) and v)
+    chain = _field(cfg, "init", lambda v: replace(chain, init=v))
+    chain = _field(cfg, "record_stride", lambda v: replace(chain, record_stride=v))
     with _blame("beta"):
         return replace(chain, sampler=sampler)
 
 
-def _atomic_write(path: str, write) -> None:
-    """Produce ``path`` by ``write(tmp)`` in a private sibling directory, then rename it.
+def _write(path: str, content) -> None:
+    """Write one file atomically: a JSON object sorted and indented, a str as is, a Table as CSV.
 
-    ``write`` creates the file itself, so it gets the mode a plain ``open``
-    gives (0o666 less the umask).  The temp directory is always removed, with
-    the temp file in it when ``write`` or the rename fails, so a failed write
-    leaves neither a partial ``path`` nor a stray temp file.
+    Every file the CLI writes is made here, with the mode ``open`` gives, in a private sibling
+    directory, and then renamed.  That directory is always removed, with the temp file in it
+    when the write or the rename fails, so a failed write leaves no partial or stray file.
     """
+    if isinstance(content, dict):
+        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
     tmp_dir = tempfile.mkdtemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
     tmp = os.path.join(tmp_dir, os.path.basename(path))
     try:
-        write(tmp)
+        if isinstance(content, str):
+            with open(tmp, "w") as fh:
+                fh.write(content)
+        else:
+            content.to_csv(tmp)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
         os.rmdir(tmp_dir)
-
-
-def _write(path: str, content) -> None:
-    """Write one file atomically: a JSON object sorted and indented, a str as is, a Table as CSV."""
-    if isinstance(content, dict):
-        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
-    if not isinstance(content, str):
-        return _atomic_write(path, content.to_csv)
-
-    def write(tmp):
-        with open(tmp, "w") as fh:
-            fh.write(content)
-
-    _atomic_write(path, write)
 
 
 def _sha256(path: str) -> str:
@@ -239,8 +271,9 @@ def cmd_run(cfg: dict, seed: int, workers: int):
     from .oja import run_chain
     from .spectrum import make_spectrum
 
+    cfg = _declared(cfg, "run")
     chain = _chain(cfg, _field(cfg, "spec", make_spectrum), seed)
-    include_states = _field(cfg, "include_states", _typed(bool), True)
+    include_states = _field(cfg, "include_states", _typed(bool))
 
     def run() -> dict:
         traj = run_chain(chain)
@@ -261,14 +294,13 @@ def cmd_ode(cfg: dict, seed: int, workers: int):
     from .oja import Table, resolve_init
     from .spectrum import chain_rng, make_spectrum
 
+    cfg = _declared(cfg, "ode")
     spec = _field(cfg, "spec", make_spectrum)
     v0 = _field(cfg, "v0", lambda v: resolve_init(spec, v, chain_rng(seed, 0)))
     grid = _field(cfg, "t_grid", _grid)
     summary = {"d": spec.d, "t_max": float(grid.max())}
-    delta = _field(cfg, "delta", default=None)
-    if delta is not None:
-        with _blame("delta"):
-            summary.update(delta=delta, crossing_time=ode_crossing_time(spec, v0, delta))
+    _field(cfg, "delta", _optional(lambda v: summary.update(
+        delta=v, crossing_time=ode_crossing_time(spec, v0, v))))
 
     def run() -> dict:
         cols = ("t", *(f"v{i + 1}_sq" for i in range(spec.d)))
@@ -282,17 +314,19 @@ def cmd_ode(cfg: dict, seed: int, workers: int):
 def cmd_sde(cfg: dict, seed: int, workers: int):
     from .oja import Table
     from .sde import OuSpec, _as_u0, _step_count, ou_ensemble_moments, ou_mean_cov, simulate_ou
-    from .spectrum import _check_count, _check_real, make_spectrum
+    from .spectrum import _blame, _check_count, _check_real, make_spectrum
 
+    cfg = _declared(cfg, "sde")
     spec = _field(cfg, "spec", make_spectrum)
-    ou = _field(cfg, "k", lambda v: OuSpec(spec=spec, k=v), 1)
+    ou = _field(cfg, "k", lambda v: OuSpec(spec=spec, k=v))
     t_end = _field(cfg, "t_end")
     dt = _field(cfg, "dt", lambda v: _check_real("dt", v, 0.0, spec._max_dt, "(]"))
     with _blame("t_end"):
         _step_count(spec, "t_end", t_end, dt)
-    u0 = _field(cfg, "u0", lambda v: _as_u0(ou, v), 0.0)
-    n_paths = _field(cfg, "n_paths", lambda v: _check_count("n_paths", v, 0), 1000)
-    grid = _field(cfg, "t_grid", _grid, {"start": 0.0, "stop": t_end, "num": 11})
+    u0 = _field(cfg, "u0", lambda v: _as_u0(ou, v))
+    n_paths = _field(cfg, "n_paths", lambda v: _check_count("n_paths", v, 0))
+    grid = _field(cfg, "t_grid", lambda v: _grid(
+        {"start": 0.0, "stop": t_end, "num": 11} if v is None else v))
     with _blame("t_grid"):
         _step_count(spec, "t_grid", grid, dt)
 
@@ -319,14 +353,15 @@ def cmd_phases(cfg: dict, seed: int, workers: int):
     from .oja import Table, _config_echo, trajectory_from_csv
     from .phases import (CrossingReport, EmpiricalCrossings, PhaseThresholds, crossing_report,
                          cutoff_ratios, predict_crossings)
-    from .spectrum import _check_real, make_spectrum
+    from .spectrum import _blame, _check_real, make_spectrum
 
+    cfg = _declared(cfg, "phases")
     spec = _field(cfg, "spec", make_spectrum)
     # Checked on its own: predict_crossings would blame a bad beta on k.
     beta = _field(cfg, "beta", lambda v: _check_real("beta", v, 0.0, math.inf, "()"))
     thresholds = _field(cfg, "delta", lambda v: PhaseThresholds(delta=v))
     delta = thresholds.delta
-    k = _field(cfg, "k", default=2)
+    k = _field(cfg, "k")
     with _blame("k"):
         predicted = predict_crossings(spec, beta, delta, k)
 
@@ -335,13 +370,10 @@ def cmd_phases(cfg: dict, seed: int, workers: int):
         return Table(columns=("beta", "r21", "r31"),
                      data=(np.array(betas, dtype=float), *ratios.reshape(-1, 2).T))
 
-    cutoff = _field(cfg, "betas_for_cutoff", _optional(cutoff_table), None)
-    traj = None
-    traj_csv = _field(cfg, "trajectory_csv", _optional(_typed(str)), None)
-    if traj_csv is not None:
-        chain = _chain(cfg, spec, seed)
-        with _blame("trajectory_csv"):
-            traj = trajectory_from_csv(traj_csv, chain)
+    cutoff = _field(cfg, "betas_for_cutoff", _optional(cutoff_table))
+    # The chain's keys are read only with a trajectory, and blame themselves.
+    traj = _field(cfg, "trajectory_csv", _optional(
+        lambda v: trajectory_from_csv(_typed(str)(v), _chain(cfg, spec, seed))))
 
     def run() -> dict:
         if traj is not None:
@@ -367,36 +399,33 @@ def cmd_mc(cfg: dict, seed: int, workers: int):
                              prepare_sde_covariance)
     from .oja import _MAX_STEPS
     from .sde import OuSpec
-    from .spectrum import make_spectrum
+    from .spectrum import _blame, make_spectrum
 
-    experiment = _field(cfg, "experiment")
-    if experiment not in _EXPERIMENTS:
-        raise ConfigError(f"config field 'experiment': unknown experiment {experiment!r}; "
-                          f"expected one of {', '.join(_EXPERIMENTS)}")
+    experiment = _field(cfg, "experiment", _experiment)
+    cfg = _declared(cfg, "mc", experiment)
     spec = _field(cfg, "spec", make_spectrum)
-    n_chains = _field(cfg, "n_chains", default=200)
+    n_chains = _field(cfg, "n_chains")
     if experiment == "finite_sample":
         prepare = partial(prepare_finite_sample, spec, _field(cfg, "t_list"), n_chains, seed,
-                          _field(cfg, "sampler", default="gaussian"))
+                          _field(cfg, "sampler"))
     elif experiment == "phase_portrait":
-        base = _chain(cfg, spec, seed, init="saddle:2", sampler="gaussian")
+        base = _chain(cfg, spec, seed)
         prepare = partial(prepare_phase_portrait, base, n_chains, _field(cfg, "delta"),
-                          _field(cfg, "k", default=None))
+                          _field(cfg, "k"))
     else:
         grid = _field(cfg, "t_grid", _grid)
 
-        def steps_for(beta):  # the default n_steps: the step of the last grid time
+        def steps_for(beta):  # a null n_steps: the step of the last grid time
             with _blame("t_grid"):
                 return grid_to_steps(grid, beta, _MAX_STEPS).max()
 
-        if experiment == "ode_convergence":
-            base = _chain(cfg, spec, seed, "warm:0.5", "bounded", steps_for)
-        else:
-            k = _field(cfg, "k", lambda v: OuSpec(spec=spec, k=v).k, 1)
-            base = _chain(cfg, spec, seed, f"saddle:{k}", "gaussian", steps_for)
+        if experiment == "sde_covariance":
+            k = _field(cfg, "k", lambda v: OuSpec(spec=spec, k=v).k)
+            cfg["init"] = f"saddle:{k}" if cfg["init"] is None else cfg["init"]
+        base = _chain(cfg, spec, seed, steps_for)
         with _blame("t_grid"):  # the grid alone, with a valid n_chains
             EnsembleConfig(base, 1, tuple(grid))
-        ens = _field(cfg, "n_chains", lambda v: EnsembleConfig(base, v, tuple(grid)), 200)
+        ens = _field(cfg, "n_chains", lambda v: EnsembleConfig(base, v, tuple(grid)))
         prepare = (partial(prepare_ode_convergence, ens) if experiment == "ode_convergence"
                    else partial(prepare_sde_covariance, ens, k))
     with _blame("experiment"):  # each check the experiment has names its own field
@@ -414,12 +443,13 @@ def cmd_mc(cfg: dict, seed: int, workers: int):
 
 def cmd_rates(cfg: dict, seed: int, workers: int):
     from .phases import rate_report
-    from .spectrum import make_spectrum
+    from .spectrum import _blame, make_spectrum
 
+    cfg = _declared(cfg, "rates")
     spec = _field(cfg, "spec", make_spectrum)
     given = {}
-    for key, default in (("t_samples", _REQUIRED), ("b", None), ("sigma_star2", None)):
-        given[key] = _field(cfg, key, default=default)
+    for key in ("t_samples", "b", "sigma_star2"):
+        given[key] = _field(cfg, key)
         with _blame(key):  # rate_report checks the fields given so far
             report = rate_report(spec, **given)
 
@@ -428,68 +458,29 @@ def cmd_rates(cfg: dict, seed: int, workers: int):
 
 
 _COMMANDS = {
-    "run": (cmd_run, "simulate one chain and export its trajectory", """\
-config keys:
-  spec           eigenvalues, descending, strict top gap (required)
-  beta           stepsize, > 0; <= 1/(3 trace) for the bounded sampler (required)
-  n_steps        number of update steps, in [0, 2^62] (required)
-  init           "uniform" | "saddle:k" | "near_saddle:k:eps" | "warm:delta" | vector (default "uniform")
-  seed           master seed, integer in [0, 2^64) (default 0)
-  sampler        "bounded" | "gaussian" (default "bounded")
-  record_stride  record every k-th step (default n_steps/10000, at least 1)
-  include_states write state columns, not just sin^2 (default true)
-outputs: trajectory.csv, summary.json"""),
-    "ode": (cmd_ode, "evaluate the closed-form flow on a grid", """\
-config keys:
-  spec    eigenvalues (required)
-  v0      initial unit vector or init preset (required)
-  t_grid  list of times or {"start","stop","num"} (required)
-  delta   optional; adds the time to reach v_1^2 = 1 - delta to summary.json
-outputs: ode_curve.csv, summary.json"""),
-    "sde": (cmd_sde, "simulate the fluctuation SDE around a basis point", """\
-config keys:
-  spec     eigenvalues (required)
-  k        anchor coordinate, 1-based (default 1)
-  t_end    simulation horizon in diffusion time (required)
-  dt       Euler step, <= 1e-2/lambda_1 (required)
-  u0       initial rescaled state, scalar or (d-1)-vector (default 0)
-  n_paths  ensemble size for the moment table; 0 or 1 skips it (default 1000)
-  t_grid   moment-table times (default 11 points spanning [0, t_end])
-  seed     master seed (default 0)
-outputs: ou_path.csv, ou_moments.csv"""),
-    "phases": (cmd_phases, "predict (and optionally detect) phase crossings", """\
-config keys:
-  spec              eigenvalues (required)
-  beta              stepsize (required)
-  delta             phase threshold in (0, 1/2) (required)
-  k                 saddle index, >= 2 (default 2)
-  betas_for_cutoff  optional list of stepsizes; adds cutoff.csv with (beta, N2/N1, N3/N1)
-  trajectory_csv    optional path to a 'run' trajectory (needs matching beta/n_steps
-                    config keys here) to fill the empirical column
-outputs: crossing_report.json, crossing_report.txt [, cutoff.csv]"""),
-    "mc": (cmd_mc, "run a Monte Carlo validation experiment", """\
-config keys (common):
-  experiment  "ode_convergence" | "sde_covariance" | "finite_sample" | "phase_portrait" (required)
-  spec        eigenvalues (required)
-  n_chains    ensemble size (default 200; at least 2 except for phase_portrait)
-  seed        master seed (default 0)
-per experiment:
-  ode_convergence: beta, t_grid (required); init (default "warm:0.5"), sampler
-    (default "bounded"), n_steps (default: the step of the last grid time)
-  sde_covariance: beta, t_grid (required); k (default 1); sampler must be
-    "gaussian"; init must be e_k (default "saddle:k")
-  finite_sample: t_list (required), sampler (default "gaussian")
-  phase_portrait: beta, delta, n_steps (required); init (default "saddle:2"),
-    sampler (default "gaussian"), k (default from init), record_stride
-outputs: <experiment>_*.csv, summary.json"""),
-    "rates": (cmd_rates, "evaluate stepsize rule and rate formulas", """\
-config keys:
-  spec         eigenvalues (required)
-  t_samples    sample horizon T >= e (required)
-  b            norm bound for reference rates (default trace)
-  sigma_star2  minimax variance proxy (default lambda_1 lambda_2 / gap^2)
-outputs: rate_report.json, rate_table.txt"""),
+    "run": (cmd_run, "simulate one chain, export its trajectory", "trajectory.csv, summary.json"),
+    "ode": (cmd_ode, "evaluate the closed-form flow on a grid", "ode_curve.csv, summary.json"),
+    "sde": (cmd_sde, "simulate the fluctuation SDE around e_k", "ou_path.csv, ou_moments.csv"),
+    "phases": (cmd_phases, "predict (and detect) phase crossings",
+               "crossing_report.json, crossing_report.txt [, cutoff.csv]"),
+    "mc": (cmd_mc, "run a Monte Carlo validation experiment", "<experiment>_*.csv, summary.json"),
+    "rates": (cmd_rates, "evaluate the rate formulas", "rate_report.json, rate_table.txt"),
 }
+
+
+def _epilog(command: str, outputs: str) -> str:
+    """A subcommand's --help epilog: each declared config key with its help and default."""
+    sections = {"config keys": _KEYS[command]}
+    if command == "mc":
+        sections.update((f"{name} adds", keys) for name, keys in _EXPERIMENTS.items())
+    lines = []
+    for title, keys in sections.items():
+        lines.append(f"{title}:")
+        for key, default in keys.items():
+            text = _HELP[key] if default is None else _HELP[key].split("; null: ")[0]
+            shown = "required" if default is _REQUIRED else f"default {json.dumps(default)}"
+            lines.append(f"  {key:<16} {text} ({shown})")
+    return "\n".join([*lines, f"outputs: {outputs}"])
 
 
 def _workers(text: str) -> int:
@@ -507,9 +498,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_line, epilog) in _COMMANDS.items():
+    for name, (_, help_line, outputs) in _COMMANDS.items():
         p = sub.add_parser(
-            name, help=help_line, epilog=epilog,
+            name, help=help_line, epilog=_epilog(name, outputs),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         p.add_argument("--config", required=True, help="path to the JSON config")
@@ -528,15 +519,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> dict:
+    """The config's JSON object; FieldError if it cannot be read as one, or repeats a key."""
+    from .spectrum import FieldError
+
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            raise FieldError(next(k for k in obj if keys.count(k) > 1), "repeated key")
+        return obj
+
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config: {e}") from None
-    except ValueError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from None
+            cfg = json.load(fh, object_pairs_hook=unique)
+    except (OSError, UnicodeError, json.JSONDecodeError) as e:
+        raise FieldError(None, f"cannot be read as JSON: {e}") from None
     if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+        raise FieldError(None, "must be a JSON object")
     return cfg
 
 
@@ -544,18 +543,18 @@ def main(argv=None) -> int:
     started = time.monotonic()
     args = _build_parser().parse_args(argv)
     out_dir = args.out if args.out is not None else os.environ.get(ENV_OUT, "out")
-    parse = _COMMANDS[args.command][0]
-    from .spectrum import MAX_SEED, _check_count
+    from .spectrum import MAX_SEED, FieldError, _check_count
 
     try:
         cfg = _load_config(args.config)
-        seed = _field(cfg if args.seed is None else {"seed": args.seed}, "seed",
-                      lambda v: _check_count("seed", v, 0, MAX_SEED), 0)
-        run, processes = parse(cfg, seed, args.workers)
+        seed = args.seed if args.seed is not None else cfg.get("seed", _SEED["seed"])
+        seed = _field({"seed": seed}, "seed", lambda v: _check_count("seed", v, 0, MAX_SEED))
+        run, processes = _COMMANDS[args.command][0](cfg, seed, args.workers)
         runner = _Runner(args.command, args.config, cfg, out_dir, seed, args.workers, processes,
                          started)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except FieldError as e:
+        where = "config" if e.field is None else f"config field '{e.field}'"
+        print(f"error: {where}: {e}", file=sys.stderr)
         return 2
     try:
         runner.begin()

@@ -59,7 +59,9 @@ from .phases import (
 from .sde import OuSpec, ou_mean_cov, stationary_sin2
 from .spectrum import (
     EigenSpectrum,
+    FieldError,
     GAUSSIAN_SAMPLER_NOTE,
+    _blame,
     _check_count,
     _check_real,
     _out_of_range,
@@ -72,7 +74,6 @@ __all__ = [
     "EnsembleConfig",
     "EnsembleSummary",
     "ExperimentResult",
-    "FieldError",
     "run_ensemble_states",
     "ensemble_summary",
     "prepare_ode_convergence",
@@ -122,7 +123,7 @@ class EnsembleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_chains", _check_count("n_chains", self.n_chains))
-        grid = tuple(float(t) for t in self.t_grid)
+        grid = tuple(_check_real("t_grid", t, 0.0) for t in self.t_grid)
         _check_count("number of t_grid times", len(grid))
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise ValueError("t_grid must be nondecreasing")
@@ -273,23 +274,6 @@ class ExperimentResult:
     tables: dict
     summary: dict
     config_echo: dict
-
-
-class FieldError(ValueError):
-    """An experiment input that fails its check; ``field`` names the input (its config key)."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
-
-
-@contextlib.contextmanager
-def _blame(field: str):
-    """Re-raise a ValueError, TypeError or OverflowError as a FieldError naming ``field``."""
-    try:
-        yield
-    except (ValueError, TypeError, OverflowError) as e:
-        raise FieldError(field, str(e)) from None
 
 
 def _deterministic_init_vector(base: OjaConfig) -> np.ndarray:

@@ -68,7 +68,7 @@ import numpy as np
 
 from .spectrum import (
     EigenSpectrum, GAUSSIAN_SAMPLER_NOTE, MAX_SEED, chain_rng, get_sampler, _axis_uniforms,
-    _check_count, _check_real,
+    _check_count, _check_real, _read_only, _real_array,
 )
 
 __all__ = [
@@ -281,7 +281,7 @@ def _parse_init(spec: EigenSpectrum, init: InitSpec) -> _Init:
     d = spec.d
     axis, radius, start = None, 0.0, None
     if not isinstance(init, str):
-        arr = _check_real("init vector", np.asarray(init, dtype=float))
+        arr = _real_array("init vector", init)
         if arr.shape != (d,):
             raise ValueError(f"init vector must have shape ({d},), got {arr.shape}")
         with np.errstate(over="ignore"):
@@ -311,9 +311,7 @@ def _parse_init(spec: EigenSpectrum, init: InitSpec) -> _Init:
             axis = _check_count("saddle axis", int(params[0]), 1, d)
             start = np.zeros(d)
             start[axis - 1] = 1.0
-    if start is not None:
-        start.setflags(write=False)
-    return _Init(axis, radius, start)
+    return _Init(axis, radius, None if start is None else _read_only(start))
 
 
 def resolve_init(spec: EigenSpectrum, init: InitSpec, rng: np.random.Generator) -> np.ndarray:

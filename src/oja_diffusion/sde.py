@@ -47,7 +47,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .oja import SAMPLE_BLOCK, _DRAW_TILE, _walk_blocks
-from .spectrum import EigenSpectrum, chain_rng, _ROOT_FLOAT_MAX, _check_count, _check_real
+from .spectrum import (EigenSpectrum, chain_rng, _ROOT_FLOAT_MAX, _check_count, _check_real,
+                       _read_only, _real_array)
 
 __all__ = [
     "OuSpec",
@@ -78,35 +79,28 @@ class OuSpec:
     @cached_property
     def other_lambdas(self) -> np.ndarray:
         """Eigenvalues of the d-1 off-anchor coordinates, in original order."""
-        lam = np.asarray(self.spec.lambdas)
-        out = np.delete(lam, self.k - 1)
-        out.setflags(write=False)
-        return out
+        return _read_only(np.delete(self.spec.lambdas, self.k - 1))
 
     @cached_property
     def drift_rates(self) -> np.ndarray:
         """Per-coordinate rates a_i = lambda_k - lambda_i (sign = stability)."""
         lam_k = float(self.spec.lambdas[self.k - 1])
-        out = lam_k - self.other_lambdas
-        out.setflags(write=False)
-        return out
+        return _read_only(lam_k - self.other_lambdas)
 
     @cached_property
     def noise_scales(self) -> np.ndarray:
         """Per-coordinate diffusion coefficients sqrt(lambda_k lambda_i)."""
         lam_k = float(self.spec.lambdas[self.k - 1])
-        out = np.sqrt(lam_k * self.other_lambdas)
-        out.setflags(write=False)
-        return out
+        return _read_only(np.sqrt(lam_k * self.other_lambdas))
 
 
 def _as_u0(ou: OuSpec, u0) -> np.ndarray:
-    arr = np.asarray(u0, dtype=float)
+    arr = _real_array("u0", u0)
     if arr.ndim == 0:
         arr = np.full(ou.spec.d - 1, float(arr))
     if arr.shape != (ou.spec.d - 1,):
         raise ValueError(f"u0 must be scalar or shape ({ou.spec.d - 1},), got {arr.shape}")
-    return _check_real("u0", arr)
+    return arr
 
 
 def ou_mean_cov(ou: OuSpec, u0, t: float):
@@ -119,7 +113,7 @@ def ou_mean_cov(ou: OuSpec, u0, t: float):
     ``times[:, None]`` gives one row per time.  ValueError when an unstable
     coordinate's moments overflow.
     """
-    t = _check_real("t", np.asarray(t, dtype=float), 0.0)
+    t = _real_array("t", t, 0.0)
     u0 = _as_u0(ou, u0)
     a = ou.drift_rates
     lam_prod = ou.noise_scales**2
@@ -162,9 +156,7 @@ def _step_count(spec: EigenSpectrum, name: str, t, dt: float) -> np.ndarray:
     bound the float t / dt is at most 2**63 - 1024, so the cast cannot overflow.
     """
     dt = _check_real("dt", dt, 0.0, spec._max_dt, "(]")
-    if isinstance(t, (list, tuple, np.ndarray)):
-        t = np.asarray(t, dtype=float)
-    return np.round(_check_real(name, t, 0.0, 2.0**63 * dt, "[)") / dt).astype(np.int64)
+    return np.round(_real_array(name, t, 0.0, 2.0**63 * dt, "[)") / dt).astype(np.int64)
 
 
 def _euler_maruyama(u: np.ndarray, rec_steps: np.ndarray, dt: float, coeffs, seed) -> np.ndarray:

@@ -26,6 +26,7 @@ run reproducible and independent of worker scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import sys
@@ -37,6 +38,7 @@ import numpy as np
 
 __all__ = [
     "EigenSpectrum",
+    "FieldError",
     "make_spectrum",
     "sample_bounded",
     "sample_gaussian",
@@ -97,16 +99,12 @@ class EigenSpectrum:
     def _axis_cdf(self) -> np.ndarray:
         """Axis cdf of the bounded sampler, built as ``Generator.choice`` builds it."""
         cdf = np.cumsum(np.asarray(self.lambdas) / self.trace)
-        cdf /= cdf[-1]
-        cdf.setflags(write=False)
-        return cdf
+        return _read_only(cdf / cdf[-1])
 
     @cached_property
     def _root_lambdas(self) -> np.ndarray:
         """Coordinate scales sqrt(lambda_i) of the Gaussian stream."""
-        root = np.sqrt(np.asarray(self.lambdas))
-        root.setflags(write=False)
-        return root
+        return _read_only(np.sqrt(np.asarray(self.lambdas)))
 
 
 def make_spectrum(lambdas: ArrayLike) -> EigenSpectrum:
@@ -116,12 +114,11 @@ def make_spectrum(lambdas: ArrayLike) -> EigenSpectrum:
     gap lambda_1 > lambda_2, and a nonincreasing tail
     lambda_2 >= lambda_3 >= ... >= lambda_d.
     """
-    arr = np.asarray(lambdas, dtype=float)
+    arr = _real_array("eigenvalues", lambdas, 0.0, math.inf, "()")
     if arr.ndim != 1:
         raise ValueError(f"eigenvalues must form a 1-d sequence, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ValueError(f"need dimension d >= 2, got d={arr.shape[0]}")
-    _check_real("eigenvalues", arr, 0.0, math.inf, "()")
     if not arr[0] > arr[1]:
         raise ValueError(
             f"top eigengap must be strictly positive (lambda_1 > lambda_2), "
@@ -131,9 +128,7 @@ def make_spectrum(lambdas: ArrayLike) -> EigenSpectrum:
         raise ValueError(
             f"tail eigenvalues must be nonincreasing, got {arr[1:].tolist()}"
         )
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return EigenSpectrum(lambdas=arr)
+    return EigenSpectrum(lambdas=_read_only(arr.copy()))
 
 
 def sample_bounded(
@@ -282,3 +277,34 @@ def _check_count(name: str, value, low: int = 1, high: float = math.inf) -> int:
     if not valid:
         raise _out_of_range(name, "an integer", value, low, high, "[]")
     return int(value)
+
+
+def _real_array(name: str, value, low=-math.inf, high=math.inf, brackets="[]") -> np.ndarray:
+    """``value`` as a checked float ndarray; list and tuple entries are checked before the cast."""
+    if isinstance(value, (list, tuple)):
+        return np.array([_check_real(name, x, low, high, brackets) for x in value], dtype=float)
+    if isinstance(value, np.ndarray) and value.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got an array of dtype {value.dtype}")
+    return np.asarray(_check_real(name, value, low, high, brackets), dtype=float)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class FieldError(ValueError):
+    """A failed input check; ``field`` names the input's config key, None the whole config."""
+
+    def __init__(self, field, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+@contextlib.contextmanager
+def _blame(field: str):
+    """Re-raise a ValueError, TypeError, OverflowError or OSError as a FieldError naming field."""
+    try:
+        yield
+    except (ValueError, TypeError, OverflowError, OSError) as e:  # a FieldError keeps its field
+        raise FieldError(getattr(e, "field", field), str(e)) from None

@@ -4,7 +4,8 @@ For each float parameter of every public function, the sweep tries NaN, +-inf,
 0, -0.0, 1e-300 and 1e300 with the other arguments held at valid values.  Each
 call must raise ValueError or return a result whose numbers are all finite.
 CI runs this file under ``-W error::RuntimeWarning`` too, so an overflow that
-only warns fails it.
+only warns fails it.  The sweep also tries a bool and a numeric string, which
+are not real numbers: each call must raise ValueError for them, not cast them.
 """
 
 import dataclasses
@@ -46,6 +47,10 @@ from oja_diffusion import (
 )
 
 VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, 1e300]
+NOT_REAL = [True, "0.5"]
+# The time of logistic_solution is still cast, not checked, as the equator SDE
+# evaluates the flow at every Euler step.
+CASTS_NOT_REAL = {"logistic_solution(t)", "logistic_solution(t[1])"}
 
 SPEC = make_spectrum([2.0, 1.0])
 OU = OuSpec(spec=SPEC, k=1)
@@ -54,6 +59,7 @@ Y = np.array([1.0, 0.5])
 LAW = phase1_exit_law(SPEC, 2, 1e-3, 0.25)
 SADDLE = OjaConfig(spec=SPEC, beta=1e-2, n_steps=20, init="saddle:2", sampler="gaussian",
                    record_stride=5)
+LONG = dataclasses.replace(SADDLE, n_steps=10**6)
 
 # Each entry calls one public function with its named float parameter set to x.
 # steps_given_chi is left out: chi is a normal draw, and N(0) = inf is the law's value.
@@ -118,6 +124,8 @@ CALLS = {
     "rate_report(b)": lambda x: rate_report(SPEC, 1e5, b=x),
     "rate_report(sigma_star2)": lambda x: rate_report(SPEC, 1e5, sigma_star2=x),
     "EnsembleConfig(t_grid[0])": lambda x: EnsembleConfig(base=SADDLE, n_chains=2, t_grid=(x,)),
+    "EnsembleConfig(t_grid[0]), 10^6 steps":
+        lambda x: EnsembleConfig(base=LONG, n_chains=2, t_grid=(0.0, x)),
     "prepare_phase_portrait(delta)": lambda x: prepare_phase_portrait(SADDLE, 2, x),
     "phase_portrait_experiment(delta)":
         lambda x: phase_portrait_experiment(EnsembleConfig(SADDLE, 2, (0.0,)), x),
@@ -142,7 +150,7 @@ def _numbers(result):
             yield from _numbers(getattr(result, f.name))
 
 
-CASES = [(call, x) for call in sorted(CALLS) for x in VALUES]
+CASES = [(call, x) for call in sorted(CALLS) for x in VALUES + NOT_REAL]
 
 
 # Derandomized, and with room for every case: hypothesis stops once it has run each one.
@@ -154,5 +162,6 @@ def test_every_float_parameter_raises_value_error_or_gives_finite_numbers(case):
         result = CALLS[call](x)
     except ValueError:
         return
+    assert not isinstance(x, (bool, str)) or call in CASTS_NOT_REAL, f"{call} accepted {x!r}"
     bad = [v for v in _numbers(result) if not math.isfinite(v)]
     assert not bad, f"{call} at x={x!r} returned non-finite numbers {bad[:5]}"

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import oja_diffusion
 from oja_diffusion import __version__, rate_bound_sin2, stepsize_rule
 from oja_diffusion import montecarlo
+from oja_diffusion import cli
 from oja_diffusion.cli import cmd_mc, main
 from oja_diffusion.montecarlo import _worker_count
 
@@ -26,8 +28,9 @@ RUN_CFG = {"spec": [2.0, 1.0], "beta": 1e-3, "n_steps": 400, "seed": 7}
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
+    """Write ``payload`` as JSON, or as it is when it is already JSON text."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -120,7 +123,10 @@ def _fresh_modules(code):
 
 @pytest.mark.parametrize("argv, code", [
     (["--version"], 0), (["--help"], 0), (["run", "--help"], 0), (["bogus"], 2),
-], ids=["version", "help", "run-help", "unknown-subcommand"])
+    (["ode", "--help"], 0), (["sde", "--help"], 0), (["phases", "--help"], 0),
+    (["mc", "--help"], 0), (["rates", "--help"], 0),
+], ids=["version", "help", "run-help", "unknown-subcommand", "ode-help", "sde-help",
+        "phases-help", "mc-help", "rates-help"])
 def test_version_help_and_usage_errors_load_no_library(argv, code):
     rc, loaded = _fresh_modules(f"from oja_diffusion.cli import main; main({argv!r})")
     assert rc == code
@@ -363,6 +369,24 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
             "t_grid": [1e300]}, "t_grid"),
     ("mc", {"experiment": "ode_convergence", "spec": [2, 1], "beta": 1e-5, "n_chains": 2,
             "t_grid": [1e15], "n_steps": 10**30}, "n_steps"),
+    ("run", '{"spec": [2, 1], "beta": 1e-3, "beta": 1e-2, "n_steps": 10}', "beta"),
+    ("ode", '{"spec": [2, 1], "v0": "warm:0.5", "t_grid": {"start": 0, "stop": 1, "num": 3, '
+            '"num": 4}}', "num"),
+    ("ode", {"spec": [2, 1], "v0": "warm:0.5",
+             "t_grid": {"start": 0, "stop": 1, "num": 3, "nmu": 50}}, "t_grid"),
+    ("sde", {"spec": [2, 1], "t_end": 0.1, "dt": 1e-3, "n_paths": 4,
+             "t_grid": {"start": 0, "stop": 0.1, "num": 3, "step": 0.05}}, "t_grid"),
+    ("mc", {"experiment": "ode_convergence", "spec": [2, 1], "beta": 1e-2, "n_chains": 4,
+            "t_grid": {"start": 0.5, "stop": 1, "num": 2, "nmu": 50}}, "t_grid"),
+    ("run", {"spec": [True, 0.5], "beta": 1e-3, "n_steps": 10}, "spec"),
+    ("run", dict(RUN_CFG, init=["1", "0"]), "init"),
+    ("sde", {"spec": [2, 1], "t_end": 0.1, "dt": 1e-3, "n_paths": 0, "u0": "0.5"}, "u0"),
+    ("run", {"spec": [2, 1], "beta": 1e-3, "n_steps": 10, "sampeler": "gaussian"}, "sampeler"),
+    ("rates", {"spec": [2, 1], "t_samples": 1e5, "sigma_star": 2.0}, "sigma_star"),
+    ("sde", {"spec": [2, 1], "t_end": 0.1, "dt": 1e-3, "npaths": 0}, "npaths"),
+    ("mc", {"experiment": "finite_sample", "spec": [2, 1], "t_list": [100], "n_chains": 4,
+            "beta": 0.5}, "beta"),
+    ("run", {"spec": [2, 1], "beta": 1e-3, "nsteps": 10}, "nsteps"),
 ], ids=["ode-nan-t_grid", "ode-nan-grid-object", "mc-nan-t_grid", "sde-nan-u0",
         "sde-inf-t_end", "mc-short-t_list", "mc-fractional-t_list", "rates-nan-b",
         "rates-text-sigma_star2",
@@ -373,7 +397,11 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
         "run-n_steps-null", "sde-text-n_paths", "run-text-include_states",
         "sde-nan-dt", "mc-sde_covariance-one-chain", "mc-finite_sample-one-chain",
         "mc-ode_convergence-one-chain", "sde-huge-t_grid", "sde-huge-t_end",
-        "mc-huge-t_grid-default-n_steps", "mc-huge-n_steps"])
+        "mc-huge-t_grid-default-n_steps", "mc-huge-n_steps", "run-repeated-key",
+        "ode-repeated-nested-key", "ode-t_grid-extra-key", "sde-t_grid-extra-key",
+        "mc-t_grid-extra-key", "run-bool-spec", "run-string-init", "sde-string-u0",
+        "run-unknown-key", "rates-unknown-key", "sde-unknown-key", "mc-key-of-another-experiment",
+        "run-misspelt-required-key"])
 def test_bad_input_is_exit_2_before_any_file(tmp_path, capsys, command, payload, field):
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "out"
@@ -446,6 +474,69 @@ def test_fuzzed_config_exits_0_with_valid_json_or_2_with_nothing_written(
             return
         for path in out.glob("*.json"):
             json.dumps(json.loads(path.read_text()), allow_nan=False)
+
+
+@pytest.mark.parametrize("command, base", FUZZ_CONFIGS,
+                         ids=[base.get("experiment", command) for command, base in FUZZ_CONFIGS])
+def test_misspelt_key_is_exit_2_naming_it_before_any_file(tmp_path, capsys, command, base):
+    key = list(base)[-1]
+    typo = key[1] + key[0] + key[2:]  # its first two letters swapped
+    cfg = write_cfg(tmp_path, dict(base, **{typo: base[key]}))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"config field '{typo}': unknown key for {command}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The config keys each subcommand reads, besides seed; for mc, those every experiment
+# reads, and then each experiment's own.
+DECLARED = {
+    "run": {"spec", "beta", "n_steps", "init", "sampler", "record_stride", "include_states"},
+    "ode": {"spec", "v0", "t_grid", "delta"},
+    "sde": {"spec", "k", "t_end", "dt", "u0", "n_paths", "t_grid"},
+    "phases": {"spec", "beta", "delta", "k", "betas_for_cutoff", "trajectory_csv", "n_steps",
+               "init", "sampler", "record_stride"},
+    "rates": {"spec", "t_samples", "b", "sigma_star2"},
+    "mc": {"experiment", "spec", "n_chains"},
+}
+MC_DECLARED = {
+    "ode_convergence": {"t_grid", "beta", "n_steps", "init", "sampler", "record_stride"},
+    "sde_covariance": {"t_grid", "k", "beta", "n_steps", "init", "sampler", "record_stride"},
+    "finite_sample": {"t_list", "sampler"},
+    "phase_portrait": {"beta", "n_steps", "init", "sampler", "record_stride", "delta", "k"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(DECLARED))
+def test_help_lists_every_declared_key_with_its_default(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed, section = {"": {}}, ""
+    for line in capsys.readouterr().out.split("config keys:\n")[1].splitlines():
+        if line.endswith(" adds:"):
+            section = line[:-len(" adds:")]
+            listed[section] = {}
+        elif line.startswith("  "):
+            key, shown = re.fullmatch(r"  (\S+) +.*\((required|default .*)\)", line).groups()
+            listed[section][key] = shown
+    expected = {"": DECLARED[command] | {"seed"}, **(MC_DECLARED if command == "mc" else {})}
+    assert {name: set(keys) for name, keys in listed.items()} == expected
+    for name, keys in listed.items():
+        table = cli._EXPERIMENTS[name] if name else cli._KEYS[command]
+        for key, shown in keys.items():
+            default = table[key]
+            assert shown == ("required" if default is cli._REQUIRED
+                             else f"default {json.dumps(default)}"), (name, key)
+    assert listed[""]["seed"] == "default 0"
+
+
+def test_readme_cli_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    config = re.search(r"cat > run\.json <<'EOF'\n(.*?)\nEOF\n", readme, re.S).group(1)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, config), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["final_step"] == 20000
 
 
 @pytest.mark.parametrize("command, payload", [
