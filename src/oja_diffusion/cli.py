@@ -98,10 +98,12 @@ _HELP = {
 }
 
 
-def _declared(cfg: dict, command: str, experiment: str = "") -> dict:
-    """``cfg`` with the default of each declared key it lacks; FieldError on an undeclared key."""
+def _declared(cfg: dict, command: str) -> dict:
+    """``cfg`` with the default of each declared key it lacks (for mc, its experiment's
+    keys too); FieldError on an undeclared key."""
     from .spectrum import FieldError
 
+    experiment = _field(cfg, "experiment", _experiment) if command == "mc" else ""
     keys = {**_KEYS[command], **_EXPERIMENTS.get(experiment, {})}
     for key in cfg:
         if key not in keys:
@@ -401,8 +403,8 @@ def cmd_mc(cfg: dict, seed: int, workers: int):
     from .sde import OuSpec
     from .spectrum import _blame, make_spectrum
 
-    experiment = _field(cfg, "experiment", _experiment)
-    cfg = _declared(cfg, "mc", experiment)
+    cfg = _declared(cfg, "mc")
+    experiment = cfg["experiment"]
     spec = _field(cfg, "spec", make_spectrum)
     n_chains = _field(cfg, "n_chains")
     if experiment == "finite_sample":
@@ -547,7 +549,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else cfg.get("seed", _SEED["seed"])
+        # An undeclared key is named before any value, the seed included, is read.
+        declared = _declared(cfg, args.command)
+        seed = args.seed if args.seed is not None else declared["seed"]
         seed = _field({"seed": seed}, "seed", lambda v: _check_count("seed", v, 0, MAX_SEED))
         run, processes = _COMMANDS[args.command][0](cfg, seed, args.workers)
         runner = _Runner(args.command, args.config, cfg, out_dir, seed, args.workers, processes,

@@ -3,8 +3,8 @@
 The engine splits the chains into one chunk per worker and runs each chunk
 through the lockstep kernel of :mod:`oja_diffusion.oja`, the same kernel that
 :func:`oja.run_chain` runs on chain 0 alone.  With more than one worker each
-chunk runs in a forked process, which writes its states straight into one
-shared buffer that the caller then holds.  Chain i draws its stream from
+chunk runs in a child forked from the caller, which writes its states straight
+into one shared buffer.  Chain i draws its stream from
 ``chain_rng(master_seed, i)`` in fixed blocks, so results are bit-identical
 for a given config no matter how chains are chunked across workers, and chain
 0 reproduces :func:`oja.run_chain` with the same master seed.
@@ -65,6 +65,7 @@ from .spectrum import (
     _check_count,
     _check_real,
     _out_of_range,
+    _real_array,
     chain_rng,  # unused here; the benchmark tracer patches it on this module
     derive_seed,
     get_sampler,
@@ -95,7 +96,7 @@ def grid_to_steps(t_grid, beta: float, n_steps: int) -> np.ndarray:
     step exactly.  ValueError unless every step is at most n_steps, an integer
     in [0, 2**62] as in :class:`OjaConfig`.
     """
-    t_grid = _check_real("t_grid", np.asarray(t_grid, dtype=float), 0.0)
+    t_grid = _real_array("t_grid", t_grid, 0.0)
     n_steps = _check_count("n_steps", n_steps, 0, _MAX_STEPS)
     ratio = t_grid / beta
     # Compared as floats: a step past the integer range would not survive the cast.
@@ -169,50 +170,44 @@ def run_ensemble_states(
     return _run_lockstep(base, range(n_chains), rec_steps)
 
 
-# In a worker process: the parent's state array, over the shared buffer.
-_shared_states = None
-
-
-def _attach(buffer, shape: tuple) -> None:
-    global _shared_states
-    _shared_states = np.frombuffer(buffer, dtype=float).reshape(shape)
-
-
-def _run_chunk(index: int, base: OjaConfig, lo: int, hi: int, rec_steps: np.ndarray) -> None:
-    # A forked child starts on its parent's CPU, and Linux can leave two
-    # children sharing one CPU for a whole chunk while another idles.  Moving
-    # chunk i once to the i-th allowed CPU, then allowing all again, spreads
-    # them; it is only a hint, so a refusal is ignored.
-    if hasattr(os, "sched_setaffinity"):
-        cpus = sorted(os.sched_getaffinity(0))
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, {cpus[index % len(cpus)]})
-            os.sched_setaffinity(0, cpus)
-    _run_lockstep(base, range(lo, hi), rec_steps, out=_shared_states[:, lo:hi])
-
-
 def _run_forked(base: OjaConfig, n_chains: int, rec_steps: np.ndarray, workers: int):
-    """One chunk of chains per forked process, each written into one shared buffer.
+    """One chunk of chains per forked child, each written into one shared buffer.
 
-    The buffer is an anonymous shared mapping made before the pool starts, and
-    the children inherit it through the pool's initializer, which ``fork``
-    does not pickle; no state array is pickled back.  ``spawn`` and
-    ``forkserver`` would re-run the caller's ``__main__``.
-    """
+    The children inherit the buffer, an anonymous shared mapping, so nothing is
+    pickled.  The parent only waits for them.  If one fails (raises or is killed),
+    the parent reruns all chains serially: the kernel is deterministic, so that
+    raises the serial run's exception or returns its states."""
     import mmap
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
     shape = (len(rec_steps), n_chains, base.spec.d)
-    buffer = mmap.mmap(-1, 8 * math.prod(shape))
+    states = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
     bounds = np.linspace(0, n_chains, workers + 1).astype(int)
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_attach, initargs=(buffer, shape)) as pool:
-        futures = [pool.submit(_run_chunk, i, base, lo, hi, rec_steps)
-                   for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
-        for future in futures:
-            future.result()
-    return np.frombuffer(buffer, dtype=float).reshape(shape)
+    pids = []
+    try:
+        for index, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            pid = os.fork()
+            if pid == 0:  # the child: it never returns into the caller
+                try:
+                    # A forked child starts on its parent's CPU, and Linux can leave
+                    # two children sharing one CPU for a whole chunk while another
+                    # idles.  Moving chunk i once to the i-th allowed CPU, then
+                    # allowing all again, spreads them; it is only a hint, so a
+                    # refusal is ignored.
+                    if hasattr(os, "sched_setaffinity"):
+                        cpus = sorted(os.sched_getaffinity(0))
+                        with contextlib.suppress(OSError):
+                            os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+                            os.sched_setaffinity(0, cpus)
+                    _run_lockstep(base, range(lo, hi), rec_steps, out=states[:, lo:hi])
+                    os._exit(0)
+                finally:  # reached only when the chunk raised
+                    os._exit(1)
+            pids.append(pid)
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    if any(statuses):
+        return _run_lockstep(base, range(n_chains), rec_steps, out=states)
+    return states
 
 
 @dataclass(frozen=True, eq=False)

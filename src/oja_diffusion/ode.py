@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .spectrum import EigenSpectrum, _check_real
+from .spectrum import EigenSpectrum, _check_real, _real_array
 
 __all__ = [
     "ode_rhs",
@@ -55,7 +55,7 @@ def logistic_solution(spec: EigenSpectrum, v0: np.ndarray, t) -> np.ndarray:
     coordinate of v0, so entries only ever underflow toward zero and the
     normalizing sum keeps a Theta(1) leading term.
     """
-    t = _check_real("t", np.asarray(t, dtype=float), 0.0)
+    t = _real_array("t", t, 0.0)
     v0 = np.asarray(v0, dtype=float)
     support = v0 != 0.0
     if not support.any():

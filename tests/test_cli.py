@@ -86,21 +86,26 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout == "[]\n"
 
 
-def test_cli_import_loads_no_process_pool():
-    """A CLI run with the default one worker is serial: a fresh import loads no pool module."""
+def test_cli_import_loads_no_process_pool(tmp_path):
+    """No pool module is loaded by a fresh CLI import, nor by an mc run with two workers,
+    whose chunks run in children forked directly."""
     env = dict(os.environ)
     src = str(Path(oja_diffusion.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cfg = write_cfg(tmp_path, {"experiment": "ode_convergence", "spec": [2, 1], "beta": 1e-2,
+                               "n_chains": 4, "t_grid": [0.5], "init": "warm:0.5"})
+    run = ["mc", "--config", cfg, "--out", str(tmp_path / "out"), "--workers", "2"]
     code = (
         "import sys, oja_diffusion.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-        "('multiprocessing', 'concurrent')))"
+        "pool = lambda: sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')); "
+        f"print(pool()); print(oja_diffusion.cli.main({run!r}), pool())"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
+    assert out.stdout == "[]\n0 []\n"
 
 
 def _fresh_modules(code):
@@ -217,6 +222,14 @@ def test_run_outputs_and_manifest(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["final_step"] == 400
     assert 0.0 <= summary["final_sin2"] <= 1.0
+
+
+def test_run_without_states_and_gnuplot_stub(tmp_path):
+    cfg = write_cfg(tmp_path, dict(RUN_CFG, include_states=False))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--gnuplot-stub"]) == 0
+    assert (out / "trajectory.csv").read_text().splitlines()[0] == "step,sin2_angle"
+    assert 'plot "trajectory.csv" using 1:2 with lines' in (out / "plot.gp").read_text()
 
 
 def test_run_rerun_is_byte_identical(tmp_path):
@@ -387,6 +400,14 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
     ("mc", {"experiment": "finite_sample", "spec": [2, 1], "t_list": [100], "n_chains": 4,
             "beta": 0.5}, "beta"),
     ("run", {"spec": [2, 1], "beta": 1e-3, "nsteps": 10}, "nsteps"),
+    ("run", {"seed": "x", "sede": 3, "spec": [2, 1], "beta": 1e-3, "n_steps": 10}, "sede"),
+    ("mc", {"experiment": "finite_sample", "spec": [2, 1], "t_list": [100], "seed": "x",
+            "sede": 3}, "sede"),
+    ("run", "[1, 2]", None),
+    ("run", dict(RUN_CFG, init="saddle"), "init"),
+    ("run", dict(RUN_CFG, init="warm:0.1:2"), "init"),
+    ("sde", {"spec": [2, 1, 0.5], "t_end": 0.1, "dt": 1e-3, "n_paths": 0, "u0": [0.1, 0.2, 0.3]},
+     "u0"),
 ], ids=["ode-nan-t_grid", "ode-nan-grid-object", "mc-nan-t_grid", "sde-nan-u0",
         "sde-inf-t_end", "mc-short-t_list", "mc-fractional-t_list", "rates-nan-b",
         "rates-text-sigma_star2",
@@ -401,12 +422,15 @@ def test_sde_bad_dt_is_exit_2(tmp_path, capsys):
         "ode-repeated-nested-key", "ode-t_grid-extra-key", "sde-t_grid-extra-key",
         "mc-t_grid-extra-key", "run-bool-spec", "run-string-init", "sde-string-u0",
         "run-unknown-key", "rates-unknown-key", "sde-unknown-key", "mc-key-of-another-experiment",
-        "run-misspelt-required-key"])
+        "run-misspelt-required-key", "run-unknown-key-before-bad-seed",
+        "mc-unknown-key-before-bad-seed", "run-config-is-an-array", "run-saddle-without-axis",
+        "run-warm-with-two-parameters", "sde-u0-wrong-shape"])
 def test_bad_input_is_exit_2_before_any_file(tmp_path, capsys, command, payload, field):
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    assert f"config field '{field}'" in capsys.readouterr().err
+    where = "config" if field is None else f"config field '{field}'"  # None: the whole file
+    assert f"error: {where}: " in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +54,10 @@ def test_grid_to_steps():
     # a horizon past 2**62 steps is refused, not cast past the int64 range
     with pytest.raises(ValueError, match="n_steps"):
         grid_to_steps([1e15], 1e-5, 10**30)
+    # a bool or a numeric string is not a time
+    for bad in (["0.5", 1.0], [0.5, True], np.array([True])):
+        with pytest.raises(ValueError, match="t_grid"):
+            grid_to_steps(bad, 1e-2, 500)
 
 
 @pytest.mark.filterwarnings("error")  # NaN cast to an integer only warns
@@ -101,12 +106,39 @@ def test_ensemble_states_rejects_bad_worker_counts(workers):
         run_ensemble_states(base, 4, np.array([0, 50]), workers=workers)
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_worker_faults_reach_the_caller():
-    # The overflow is detected in the worker processes; its FloatingPointError
-    # is raised in the caller, as it is for a serial run.
+    # The overflow is detected in the worker processes; the caller then reruns
+    # the chains serially, which raises the serial run's FloatingPointError.
     cfg = OjaConfig(spec=SPEC2, beta=1e300, n_steps=50, init="warm:0.5", sampler="gaussian")
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="unit sphere"):
         run_ensemble_states(cfg, 4, np.array([0, 25, 50]), workers=2)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("die", [lambda: os._exit(9),
+                                 lambda: os.kill(os.getpid(), signal.SIGKILL)],
+                         ids=["exit-9", "sigkill"])
+def test_a_dead_worker_gives_the_serial_states(monkeypatch, die):
+    # Every forked child dies before writing a state; the caller reruns the
+    # chains serially and returns what one worker gives.
+    base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=300, seed=5, sampler="gaussian")
+    rec = np.array([0, 150, 300])
+    serial = run_ensemble_states(base, 6, rec, workers=1)
+    parent, kernel = os.getpid(), montecarlo._run_lockstep
+
+    def dies_in_a_child(*args, **kwargs):
+        if os.getpid() != parent:
+            die()
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_run_lockstep", dies_in_a_child)
+    np.testing.assert_array_equal(run_ensemble_states(base, 6, rec, workers=2), serial)
+    _assert_no_child_left()
 
 
 def test_ensemble_chain_zero_equals_run_chain():

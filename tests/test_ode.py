@@ -89,6 +89,8 @@ def test_logistic_times_must_be_finite_and_nonnegative():
     for bad in (-1.0, math.nan, math.inf, [0.5, -1e-300], [1.0, math.nan]):
         with pytest.raises(ValueError, match=r"t must be a finite number in \[0, inf\)"):
             logistic_solution(SPEC2, v0, bad)
+    with pytest.raises(ValueError, match="initial vector must be nonzero"):
+        logistic_solution(SPEC2, [0.0, 0.0], 1.0)
 
 
 def test_logistic_top_overlap_is_monotone():

@@ -41,6 +41,10 @@ def test_make_spectrum_rejects_bad_input():
         make_spectrum([1.0, 1.0])
     with pytest.raises(ValueError, match="nonincreasing"):
         make_spectrum([3.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="1-d sequence"):
+        make_spectrum(np.array([[2.0, 1.0]]))
+    with pytest.raises(ValueError, match="real numbers, got an array of dtype bool"):
+        make_spectrum(np.array([True, False]))
 
 
 def test_spectrum_is_immutable():
