@@ -408,10 +408,12 @@ def cmd_mc(cfg: dict, seed: int, workers: int):
     spec = _field(cfg, "spec", make_spectrum)
     n_chains = _field(cfg, "n_chains")
     if experiment == "finite_sample":
-        prepare = partial(prepare_finite_sample, spec, _field(cfg, "t_list"), n_chains, seed,
+        last_steps = _field(cfg, "t_list")  # one ensemble per horizon, each to step t
+        prepare = partial(prepare_finite_sample, spec, last_steps, n_chains, seed,
                           _field(cfg, "sampler"))
     elif experiment == "phase_portrait":
         base = _chain(cfg, spec, seed)
+        last_steps = [base.n_steps]
         prepare = partial(prepare_phase_portrait, base, n_chains, _field(cfg, "delta"),
                           _field(cfg, "k"))
     else:
@@ -428,6 +430,7 @@ def cmd_mc(cfg: dict, seed: int, workers: int):
         with _blame("t_grid"):  # the grid alone, with a valid n_chains
             EnsembleConfig(base, 1, tuple(grid))
         ens = _field(cfg, "n_chains", lambda v: EnsembleConfig(base, v, tuple(grid)))
+        last_steps = [ens._steps.max()]
         prepare = (partial(prepare_ode_convergence, ens) if experiment == "ode_convergence"
                    else partial(prepare_sde_covariance, ens, k))
     with _blame("experiment"):  # each check the experiment has names its own field
@@ -440,7 +443,7 @@ def cmd_mc(cfg: dict, seed: int, workers: int):
                                  "config": result.config_echo}
         return files
 
-    return run, _worker_count(workers, int(n_chains))
+    return run, max(_worker_count(workers, int(n_chains), int(last)) for last in last_steps)
 
 
 def cmd_rates(cfg: dict, seed: int, workers: int):

@@ -2,11 +2,11 @@
 
 The engine splits the chains into one chunk per worker and runs each chunk
 through the lockstep kernel of :mod:`oja_diffusion.oja`, the same kernel that
-:func:`oja.run_chain` runs on chain 0 alone.  With more than one worker each
-chunk runs in a child forked from the caller, which writes its states straight
-into one shared buffer.  Chain i draws its stream from
-``chain_rng(master_seed, i)`` in fixed blocks, so results are bit-identical
-for a given config no matter how chains are chunked across workers, and chain
+:func:`oja.run_chain` runs on chain 0 alone.  From 5e5 chain-steps on, with more
+than one worker, each chunk runs in a child forked from the caller, which writes
+its states into one shared buffer.  Chain i draws ``chain_rng(master_seed, i)``'s
+stream (keyed with its chunk's in one pass) ``SAMPLE_BLOCK`` draws per call, so results
+are bit-identical for a given config no matter how chains are chunked, and chain
 0 reproduces :func:`oja.run_chain` with the same master seed.
 
 Experiments map diffusion-limit predictions onto ensemble statistics:
@@ -134,10 +134,13 @@ class EnsembleConfig:
         object.__setattr__(self, "_steps", steps)
 
 
-def _worker_count(workers: int, n_chains: int) -> int:
-    """Processes an ensemble runs in: the request, capped by the CPUs and at two
-    chains each, and 1 where the platform cannot fork."""
-    if not hasattr(os, "fork"):
+_FORK_MIN_CHAIN_STEPS = 500_000  # fewer run in one process: a fork costs about 7 ms
+
+
+def _worker_count(workers: int, n_chains: int, last_step: int) -> int:
+    """Processes an ensemble of n_chains to ``last_step`` runs in: the request, capped by the
+    CPUs and at two chains each; 1 without fork or below _FORK_MIN_CHAIN_STEPS chain-steps."""
+    if not hasattr(os, "fork") or n_chains * last_step < _FORK_MIN_CHAIN_STEPS:
         return 1
     return max(1, min(workers, os.cpu_count() or 1, n_chains // 2))
 
@@ -164,7 +167,7 @@ def run_ensemble_states(
         raise _out_of_range("record steps", "a nonempty, strictly increasing 1-D integer array",
                             steps, 0, base.n_steps, "[]")
     rec_steps = steps.astype(int)
-    workers = _worker_count(workers, n_chains)
+    workers = _worker_count(workers, n_chains, int(rec_steps[-1]))
     if workers > 1:
         return _run_forked(base, n_chains, rec_steps, workers)
     return _run_lockstep(base, range(n_chains), rec_steps)
@@ -178,6 +181,7 @@ def _run_forked(base: OjaConfig, n_chains: int, rec_steps: np.ndarray, workers: 
     the parent reruns all chains serially: the kernel is deterministic, so that
     raises the serial run's exception or returns its states."""
     import mmap
+    import numpy.random  # loaded once here, not once in each child
 
     shape = (len(rec_steps), n_chains, base.spec.d)
     states = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)

@@ -19,10 +19,10 @@ and the remainder of the projection, which is O(B^2 beta^2) whenever
 over a fresh stream to expose the drift beta v_k (lambda_k - v' Lambda v) that
 the deterministic limit integrates.
 
-Every trajectory comes from one lockstep kernel over an (n_chains, d) array
-of states.  ``run_chain`` runs it on chain 0 alone and the Monte Carlo
-ensembles run it on chunks of chains, so a single chain is bit for bit chain
-0 of an ensemble.  It draws nothing past the last recorded step.
+Every trajectory comes from one lockstep kernel over an (n_chains, d) array of
+states, which keys all its chains' streams as ``chain_rng`` does, in one numpy pass.
+``run_chain`` runs it on chain 0 alone and the ensembles on chunks of chains, so
+a chain is bit for bit chain 0 of an ensemble.  It draws nothing past the last record.
 
 For the Gaussian stream it leaves out the projection.  Before it, a step is
 the linear map w <- (I + beta Y Y^T) w, so the chain on the sphere is the
@@ -50,11 +50,11 @@ coordinate.
 For the bounded stream it uses the closed form: each draw +/- sqrt(tr) e_i only
 scales coordinate i by 1 + beta tr, so the updates commute and the state after n
 steps is v_0 * (1 + beta tr)^c(n), normalised, where c(n) counts the draws of each
-axis (the discrete form of the logistic flow), taken by one ``bincount`` per tile
-of chains.  It agrees with the step loop to about 1e-14 per coordinate.  One block
-walk runs both streams, and the Euler-Maruyama SDEs of ``sde`` too: after each
-block it checks the states recorded in it (here finite, unit norm within 1e-11;
-there finite) and raises ``FloatingPointError`` when one is not.
+axis (the discrete form of the logistic flow), taken by one ``bincount`` per tile of
+chains and block (a few chains' block spans several sample blocks).  It agrees with the
+step loop to about 1e-14 per coordinate.  One block walk runs both streams, and the
+Euler-Maruyama SDEs of ``sde`` too: after each block it checks the states recorded in it
+(here finite, unit norm within 1e-11; there finite) and raises ``FloatingPointError``.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .spectrum import (
-    EigenSpectrum, GAUSSIAN_SAMPLER_NOTE, MAX_SEED, chain_rng, get_sampler, _axis_uniforms,
+    EigenSpectrum, GAUSSIAN_SAMPLER_NOTE, MAX_SEED, get_sampler, _axis_uniforms, _chain_rngs,
     _check_count, _check_real, _read_only, _real_array,
+    chain_rng,  # unused here; the benchmark tracer patches it on this module
 )
 
 __all__ = [
@@ -511,8 +512,8 @@ def _step_loop(base: OjaConfig, rngs: list, v: np.ndarray):
     return advance
 
 
-def _axis_counts(base: OjaConfig, rngs: list, v0: np.ndarray):
-    """Advance the bounded stream in closed form, by per-axis draw counts.
+def _axis_counts(base: OjaConfig, rngs: list, v0: np.ndarray, rec_steps: np.ndarray):
+    """Advance the bounded stream in closed form, by per-axis draw counts; and its block.
 
     A draw +/- sqrt(tr) e_i scales coordinate i by 1 + beta tr and leaves the
     rest alone, so the updates commute: after n steps the state is
@@ -520,9 +521,11 @@ def _axis_counts(base: OjaConfig, rngs: list, v0: np.ndarray):
     axis.  It is formed in log space, shifted by its row maximum, so it never
     overflows, and coordinates that start at 0 stay exactly 0.  A block is
     counted :data:`_DRAW_TILE` chains at a time: their axis uniforms fill one
-    buffer, their signs are skipped, their axes are found on the axis cdf (by
-    d - 1 compares up to d = 8), and one ``bincount`` over (segment, chain,
-    axis) counts them, a segment being the draws between two records.
+    buffer, their signs are skipped, their axes are found on the axis cdf (by d - 1
+    compares for (d - 1) * SAMPLE_BLOCK draws or more), and one ``bincount`` over
+    (segment, chain, axis) counts them, a segment being the draws between two records.
+    A tile of t chains counts k sample blocks at once, k <= _DRAW_TILE / t and k <=
+    SAMPLE_BLOCK / (most records in a sample block): within a full tile's memory.
     """
     d, cdf = base.spec.d, base.spec._axis_cdf
     with np.errstate(divide="ignore"):
@@ -530,8 +533,10 @@ def _axis_counts(base: OjaConfig, rngs: list, v0: np.ndarray):
     sign = np.sign(v0)
     log_gain = np.log1p(base.beta * base.spec.trace)
     tile = min(len(rngs), _DRAW_TILE)
-    uniforms = np.empty(tile * SAMPLE_BLOCK)
-    keys = np.empty(tile * SAMPLE_BLOCK, dtype=np.intp)
+    densest = np.unique((rec_steps - 1) // SAMPLE_BLOCK, return_counts=True)[1].max()
+    block = SAMPLE_BLOCK * min(_DRAW_TILE // tile, SAMPLE_BLOCK // densest)
+    uniforms = np.empty(tile * block)
+    keys = np.empty(tile * block, dtype=np.intp)
     counts = np.zeros(v0.shape, dtype=np.int64)
 
     def advance(blk: int, offsets: np.ndarray, dest: np.ndarray) -> None:
@@ -540,10 +545,11 @@ def _axis_counts(base: OjaConfig, rngs: list, v0: np.ndarray):
             t = min(tile, len(rngs) - lo)
             u = uniforms[:t * blk].reshape(t, blk)
             for row, rng in zip(u, rngs[lo:lo + t]):
-                _axis_uniforms(rng, row, signs=False)
+                for i in range(0, blk, SAMPLE_BLOCK):
+                    _axis_uniforms(rng, row[i:i + SAMPLE_BLOCK], signs=False)
             key = keys[:t * blk].reshape(t, blk)
             np.add.outer(np.arange(t) * d, segment * (t * d), out=key)
-            if d <= 8:
+            if (d - 1) * SAMPLE_BLOCK <= u.size:
                 for c in cdf[:-1]:
                     key += u >= c
             else:
@@ -563,7 +569,7 @@ def _axis_counts(base: OjaConfig, rngs: list, v0: np.ndarray):
         dest *= sign
         dest /= np.sqrt(np.einsum("...d,...d->...", dest, dest))[..., None]
 
-    return advance
+    return advance, block
 
 
 def _walk_blocks(v0: np.ndarray, rec_steps: np.ndarray, block: int, advance, bad, fault: str,
@@ -593,8 +599,8 @@ def _run_lockstep(base: OjaConfig, chains: range, rec_steps: np.ndarray,
     """Run chains ``chains`` of ``base`` in lockstep: states (n_rec, n_chains, d).
 
     Chain i draws its init (when random) and then its samples from
-    ``chain_rng(base.seed, i)`` in blocks of :data:`SAMPLE_BLOCK`, so a chain's
-    values never depend on which other chains share the run.  ``rec_steps``
+    ``chain_rng(base.seed, i)``'s stream, :data:`SAMPLE_BLOCK` draws per call, so a
+    chain's values never depend on which other chains share the run.  ``rec_steps``
     must be strictly increasing within [0, n_steps]; nothing is drawn past the
     last of them.  The bounded stream advances in closed form, the Gaussian
     stream by the step loop.  After each block the states recorded in it must
@@ -602,13 +608,14 @@ def _run_lockstep(base: OjaConfig, chains: range, rec_steps: np.ndarray,
     runtime fault, not a config error).  The states go into ``out`` when
     given.
     """
-    rngs = [chain_rng(base.seed, i) for i in chains]
+    rngs = _chain_rngs(base.seed, chains)
     v = np.array([base._init.draw(base.spec.d, rng) for rng in rngs])
-    advance = (_axis_counts if base.sampler == "bounded" else _step_loop)(base, rngs, v)
+    advance, block = (_axis_counts(base, rngs, v, rec_steps) if base.sampler == "bounded"
+                      else (_step_loop(base, rngs, v), SAMPLE_BLOCK))
     fault = (f"chain states left the unit sphere by step {{step}} (non-finite, or squared norm "
              f"off 1 by more than 1e-11); beta={base.beta} is likely too large for the "
              f"'{base.sampler}' stream")
-    return _walk_blocks(v, rec_steps, SAMPLE_BLOCK, advance, lambda s: _off_sphere(s, 1e-11),
+    return _walk_blocks(v, rec_steps, block, advance, lambda s: _off_sphere(s, 1e-11),
                         fault, out)
 
 

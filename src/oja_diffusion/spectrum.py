@@ -225,6 +225,42 @@ def chain_rng(master_seed: int, *index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _chain_rngs(master_seed: int, chains: range) -> list:
+    """``[chain_rng(master_seed, i) for i in chains]``, the Philox keys of all one-word i
+    hashed at once in uint32 arithmetic; an index of 2**32 or more takes chain_rng."""
+    if chains.stop > 2**32:
+        return [chain_rng(master_seed, i) for i in chains]
+    pool = np.random.SeedSequence(_check_count("seed", master_seed, 0, MAX_SEED)).pool[:, None]
+    x = np.arange(chains.start, chains.stop, chains.step, dtype=np.uint32)
+    x = (x ^ _HASH_MIX[:-1]) * _HASH_MIX[1:]
+    x = pool * 0xCA01F9DD - (x ^ x >> 16) * 0x4973F715
+    x = (x ^ x >> 16 ^ _HASH_STATE[:-1]) * _HASH_STATE[1:]
+    words = (x ^ x >> 16).astype(np.uint64)
+    from numpy.random.bit_generator import ISeedSequence  # here, so importing this loads none
+    ISeedSequence.register(_KeySequence)
+    return [np.random.Generator(np.random.Philox(_KeySequence(key)))
+            for key in (words[0::2] | words[1::2] << 32).T]
+
+
+class _KeySequence:
+    """Hands ``Philox`` its key; ``Philox(key=...)`` would draw OS entropy it never uses."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+# SeedSequence's k-th hash of x is (x ^ h_k) * h_k+1, then x ^ x >> 16, h_k = init * mult**k
+# mod 2**32.  Index i's hashes 16-19 mix into the seed's pool words p as p * 0xCA01F9DD - hash
+# * 0x4973F715, then ^ >> 16; generate_state hashes the pool (hashes 0-3, its own init, mult).
+_HASH_MIX, _HASH_STATE = (
+    np.array([init * pow(mult, k, 2**32) % 2**32 for k in ks], dtype=np.uint32)[:, None]
+    for init, mult, ks in ((0x43B0D7E5, 0x931E8875, range(16, 21)),
+                           (0x8B51F9DD, 0x58F38DED, range(5))))
+
+
 def derive_seed(master_seed: int, *index: int) -> int:
     """Derive a child 64-bit seed from a master seed and an index path."""
     ss = np.random.SeedSequence(_check_count("seed", master_seed, 0, MAX_SEED),
@@ -267,7 +303,7 @@ def _check_real(name: str, value, low: float = -math.inf, high: float = math.inf
 def _check_count(name: str, value, low: int = 1, high: float = math.inf) -> int:
     """The integer ``value`` as an int, checked to be in [low, high] and not a bool.
 
-    Pure Python, as ``chain_rng`` runs it once per chain.  ValueError naming
+    Pure Python, as ``chain_rng`` runs it on every call.  ValueError naming
     ``name`` otherwise.
     """
     try:

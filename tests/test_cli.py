@@ -26,6 +26,10 @@ from oja_diffusion.montecarlo import _worker_count
 
 RUN_CFG = {"spec": [2.0, 1.0], "beta": 1e-3, "n_steps": 400, "seed": 7}
 
+# An mc run of 200 chains to step 2500, 5e5 chain-steps: the fewest that fork.
+FORKED_MC = {"experiment": "ode_convergence", "spec": [2, 1], "beta": 1e-2, "n_chains": 200,
+             "t_grid": [25.0], "init": "warm:0.5"}
+
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
     """Write ``payload`` as JSON, or as it is when it is already JSON text."""
@@ -92,8 +96,7 @@ def test_cli_import_loads_no_process_pool(tmp_path):
     env = dict(os.environ)
     src = str(Path(oja_diffusion.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    cfg = write_cfg(tmp_path, {"experiment": "ode_convergence", "spec": [2, 1], "beta": 1e-2,
-                               "n_chains": 4, "t_grid": [0.5], "init": "warm:0.5"})
+    cfg = write_cfg(tmp_path, FORKED_MC)
     run = ["mc", "--config", cfg, "--out", str(tmp_path / "out"), "--workers", "2"]
     code = (
         "import sys, oja_diffusion.cli; "
@@ -106,6 +109,21 @@ def test_cli_import_loads_no_process_pool(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n0 []\n"
+
+
+def test_forked_mc_imports_numpy_random_once(tmp_path):
+    """The parent loads numpy.random before it forks, so no forked child imports it again."""
+    env = dict(os.environ)
+    src = str(Path(oja_diffusion.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "oja_diffusion.cli", "mc",
+                           "--config", write_cfg(tmp_path, FORKED_MC), "--out", str(out),
+                           "--workers", "2"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["workers"]["processes"] == _worker_count(2, 200, 2500)
+    assert len(re.findall(r"\|\s*numpy\.random$", proc.stderr, re.M)) == 1, proc.stderr
 
 
 def _fresh_modules(code):
@@ -734,7 +752,7 @@ def rate_bound_sin2_value():
     return rate_bound_sin2(make_spectrum([2.0, 1.0]), 1e5)
 
 
-def test_workers_do_not_change_mc_output(tmp_path):
+def test_workers_do_not_change_mc_output(tmp_path, always_fork):
     cfg = write_cfg(tmp_path, {
         "experiment": "ode_convergence", "spec": [2.0, 1.0], "beta": 1e-3,
         "n_chains": 40, "t_grid": [0.5], "init": "warm:0.75",
@@ -783,15 +801,16 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, capsys, command
 
 @pytest.mark.parametrize("command, payload, workers, processes", [
     ("run", RUN_CFG, 3, 1),
-    ("mc", {"experiment": "ode_convergence", "spec": [2.0, 1.0], "beta": 1e-3, "n_chains": 6,
-            "t_grid": [0.5]}, 2, _worker_count(2, 6)),
+    ("mc", FORKED_MC, 2, _worker_count(2, 200, 2500)),
     ("mc", {"experiment": "ode_convergence", "spec": [2.0, 1.0], "beta": 1e-3, "n_chains": 3,
             "t_grid": [0.5]}, 4, 1),
+    ("mc", {"experiment": "ode_convergence", "spec": [2.0, 1.0], "beta": 1e-3, "n_chains": 6,
+            "t_grid": [0.5]}, 2, _worker_count(2, 6, 500)),
 ])
 def test_manifest_records_requested_workers_and_processes(tmp_path, command, payload, workers,
                                                           processes):
     # The manifest names the --workers asked for and the processes the run
-    # used; the result files are those of a one-worker run.
+    # used (one below 5e5 chain-steps); the result files are those of a one-worker run.
     cfg = write_cfg(tmp_path, payload)
     one, many = tmp_path / "one", tmp_path / "many"
     assert main([command, "--config", cfg, "--out", str(one)]) == 0

@@ -50,7 +50,9 @@ def test_chain_is_an_ensemble_of_one(d, sampler, seed, n_chains, workers, chain,
     cfg = OjaConfig(spec=spec, beta=0.5 / (3.0 * spec.trace), n_steps=n_steps, init=init,
                     seed=seed, sampler=sampler, record_stride=stride)
     steps = record_steps(n_steps, stride)
-    states = run_ensemble_states(cfg, n_chains, steps, workers=workers)
+    with pytest.MonkeyPatch.context() as mp:  # always_fork, for each example
+        mp.setattr(oja_diffusion.montecarlo, "_FORK_MIN_CHAIN_STEPS", 0)
+        states = run_ensemble_states(cfg, n_chains, steps, workers=workers)
     i = chain % n_chains
     np.testing.assert_array_equal(states[:, i], _run_lockstep(cfg, range(i, i + 1), steps)[:, 0])
     np.testing.assert_array_equal(run_chain(cfg).states, states[:, 0])
@@ -156,7 +158,7 @@ def test_gaussian_state_does_not_depend_on_the_records(beta):
 
 
 @pytest.mark.parametrize("d", [3, 7, 50])
-def test_gaussian_kernel_does_not_depend_on_the_chain_count(d):
+def test_gaussian_kernel_does_not_depend_on_the_chain_count(always_fork, d):
     # Every numpy call of the Gaussian kernel is elementwise over the chains,
     # so a chain gives the same bits alone, in a 65-chain run that crosses
     # the 64-chain draw tile, and in either worker chunk.
@@ -172,12 +174,14 @@ def test_gaussian_kernel_does_not_depend_on_the_chain_count(d):
         np.testing.assert_array_equal(run_ensemble_states(cfg, 65, steps, workers=workers), alone)
 
 
-@pytest.mark.parametrize("d", [2, 3, 9, 50])
-def test_bounded_kernel_does_not_depend_on_the_chain_count(d):
+@pytest.mark.parametrize("d", [2, 3, 8, 9, 48, 50, 64, 65])
+def test_bounded_kernel_does_not_depend_on_the_chain_count(always_fork, d):
     # The bounded kernel counts a block 64 chains at a time, finding the axes
-    # by compares up to d = 8 and by searchsorted above.  Its counts are exact
-    # integers, so a chain gives the same bits alone, in runs that cross one
-    # and two tiles, and in either worker chunk; the final block has 77 steps.
+    # by compares when a tile draws at least (d - 1) * SAMPLE_BLOCK uniforms
+    # and by searchsorted otherwise: a full tile's block takes the compares up
+    # to d = 65, a lone chain's takes searchsorted from d = 3.  Its counts are
+    # exact integers, so a chain gives the same bits alone, in runs that cross
+    # one and two tiles, and in either worker chunk; the final block has 77 steps.
     spec = make_spectrum(np.r_[2.0, np.linspace(1.0, 0.1, d - 1)])
     cfg = OjaConfig(spec=spec, beta=0.5 / (3.0 * spec.trace), n_steps=SAMPLE_BLOCK + 77,
                     init="uniform", seed=d, record_stride=100)
@@ -236,12 +240,13 @@ def test_stream_stops_at_the_last_record(monkeypatch, sampler):
     last = SAMPLE_BLOCK + 476
     full = run_ensemble_states(cfg, 3, np.array([0, 100, last, cfg.n_steps]))
     made = []
+    build = oja_diffusion.oja._chain_rngs
 
-    def recording_rng(seed, *index):
-        made.append(chain_rng(seed, *index))
-        return made[-1]
+    def recording_rngs(seed, chains):
+        made.extend(build(seed, chains))
+        return made[-len(chains):]
 
-    monkeypatch.setattr(oja_diffusion.oja, "chain_rng", recording_rng)
+    monkeypatch.setattr(oja_diffusion.oja, "_chain_rngs", recording_rngs)
     states = run_ensemble_states(cfg, 3, np.array([0, 100, last]))
     # Stopping early changes no recorded value.
     np.testing.assert_array_equal(states, full[:3])

@@ -79,7 +79,7 @@ def test_ensemble_config_validation():
         EnsembleConfig(base=base, n_chains=5, t_grid=(0.5, 1e300))
 
 
-def test_ensemble_worker_invariance():
+def test_ensemble_worker_invariance(always_fork):
     base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=1500, seed=17)
     rec = np.array([0, 700, 1500])
     a = run_ensemble_states(base, 9, rec, workers=1)
@@ -93,10 +93,36 @@ def test_ensemble_worker_invariance():
 def test_worker_count_is_capped_by_cpus_and_chains():
     # The cap is checked on the computed count: no pool is started here.
     cpus = os.cpu_count() or 1
-    assert _worker_count(10**6, 10**9) == cpus
-    assert _worker_count(10**6, 6) == min(cpus, 3)
-    assert _worker_count(4, 3) == 1
-    assert _worker_count(1, 10**6) == 1
+    assert _worker_count(10**6, 10**9, 1) == cpus
+    assert _worker_count(10**6, 6, 10**6) == min(cpus, 3)
+    assert _worker_count(4, 3, 10**6) == 1
+    assert _worker_count(1, 10**6, 1) == 1
+
+
+@pytest.mark.parametrize("n_steps, forks", [(4999, False), (5000, True)])
+def test_only_an_ensemble_of_enough_chain_steps_forks(monkeypatch, n_steps, forks):
+    # 100 chains to step 5000 are exactly montecarlo._FORK_MIN_CHAIN_STEPS:
+    # one step fewer runs in the caller, whatever the workers.
+    assert 100 * 5000 == montecarlo._FORK_MIN_CHAIN_STEPS
+    base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=n_steps, init="uniform", seed=8)
+    rec = np.array([0, 2500, n_steps])
+    serial = run_ensemble_states(base, 100, rec, workers=1)
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        forked.append(os.getpid())
+        return fork()
+
+    def no_fork():
+        raise AssertionError("an ensemble below the threshold forked")
+
+    monkeypatch.setattr(os, "fork", counted_fork if forks else no_fork)
+    for workers in (2, 3):
+        np.testing.assert_array_equal(run_ensemble_states(base, 100, rec, workers=workers),
+                                      serial)
+    assert len(forked) == (_worker_count(2, 100, 5000) + _worker_count(3, 100, 5000) if forks
+                           else 0)
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [0, -5, 1.5, "2"])
@@ -111,7 +137,7 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_worker_faults_reach_the_caller():
+def test_worker_faults_reach_the_caller(always_fork):
     # The overflow is detected in the worker processes; the caller then reruns
     # the chains serially, which raises the serial run's FloatingPointError.
     cfg = OjaConfig(spec=SPEC2, beta=1e300, n_steps=50, init="warm:0.5", sampler="gaussian")
@@ -123,7 +149,7 @@ def test_worker_faults_reach_the_caller():
 @pytest.mark.parametrize("die", [lambda: os._exit(9),
                                  lambda: os.kill(os.getpid(), signal.SIGKILL)],
                          ids=["exit-9", "sigkill"])
-def test_a_dead_worker_gives_the_serial_states(monkeypatch, die):
+def test_a_dead_worker_gives_the_serial_states(monkeypatch, always_fork, die):
     # Every forked child dies before writing a state; the caller reruns the
     # chains serially and returns what one worker gives.
     base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=300, seed=5, sampler="gaussian")
@@ -141,7 +167,7 @@ def test_a_dead_worker_gives_the_serial_states(monkeypatch, die):
     _assert_no_child_left()
 
 
-def test_ensemble_chain_zero_equals_run_chain():
+def test_ensemble_chain_zero_equals_run_chain(always_fork):
     # Chains are seeded by index, so the ensemble's first chain is the
     # single-chain runner with the same master seed.
     base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=2050, init="uniform",
@@ -375,7 +401,7 @@ def test_phase_portrait_matches_per_record_and_per_chain_reductions():
         assert row == (c, emp.n1, emp.n2, emp.n3)
 
 
-def test_experiment_deterministic_and_writable(tmp_path):
+def test_experiment_deterministic_and_writable(tmp_path, always_fork):
     base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=1000, init="warm:0.75", seed=3)
     cfg = EnsembleConfig(base=base, n_chains=30, t_grid=(0.5, 1.0))
     a = ode_convergence_experiment(cfg, workers=2)

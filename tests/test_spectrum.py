@@ -11,7 +11,7 @@ from oja_diffusion import (
     sample_gaussian,
 )
 from oja_diffusion.spectrum import (MAX_SEED, SAMPLERS, _axis_draws, _axis_uniforms,
-                                    derive_seed, get_sampler)
+                                    _chain_rngs, derive_seed, get_sampler)
 
 
 def test_make_spectrum_fields():
@@ -183,6 +183,19 @@ def test_chain_rng_streams():
     assert not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, MAX_SEED, 123456789012345])
+def test_one_pass_keys_are_the_seed_sequence_keys(seed):
+    # Seeds of one and two words, chain indices of one word in one pass, and
+    # indices up to two words past 2**32 - 1, which take chain_rng itself.
+    spread = [0, 1, 63, 64, 999, 10**6, 2**32 - 1]
+    runs = [range(70), range(999, 1000), range(10**6, 10**6 + 1), range(2**32 - 3, 2**32 + 2)]
+    for chains in runs + [range(i, i + 1) for i in spread]:
+        for i, rng in zip(chains, _chain_rngs(seed, chains)):
+            key = np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
+            np.testing.assert_array_equal(rng.bit_generator.state["state"]["key"], key)
+            np.testing.assert_array_equal(rng.random(3), chain_rng(seed, i).random(3))
+
+
 def test_derive_seed():
     s = derive_seed(42, 3)
     assert s == derive_seed(42, 3)
@@ -196,3 +209,5 @@ def test_seed_validation():
     for bad in (-1, MAX_SEED + 1, 0.5):
         with pytest.raises(ValueError, match="seed"):
             chain_rng(bad, 0)
+        with pytest.raises(ValueError, match="seed"):
+            _chain_rngs(bad, range(2))
