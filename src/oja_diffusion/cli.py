@@ -27,6 +27,10 @@ Subcommands: run, ode, sde, phases, mc, rates.  Each takes a JSON config via
    writes them in that order, then the manifest again with their wall time,
    the time of each stage and their hashes.  Any exception here is a runtime
    error and exits 1; a run that fails leaves only manifest.json.
+
+From step 2 on, SIGTERM raises KeyboardInterrupt as SIGINT does: forked
+ensemble workers are killed and reaped, and the exit code is 128 + the signal
+number (130 or 143).
 """
 
 from __future__ import annotations
@@ -544,9 +548,29 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv=None) -> int:
     started = time.monotonic()
     args = _build_parser().parse_args(argv)
+    import signal  # after the parse, so --version and --help never load it
+
+    # SIGTERM (kill, timeout(1), a scheduler) takes Ctrl-C's path: forked workers
+    # are killed and reaped, and the run exits 128 + the signal number.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
+    try:
+        return _main(args, started)
+    except KeyboardInterrupt as e:
+        signum = e.args[0] if e.args else signal.SIGINT
+        print(f"interrupted: {signal.Signals(signum).name}", file=sys.stderr)
+        return 128 + signum
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _main(args, started: float) -> int:
     out_dir = args.out if args.out is not None else os.environ.get(ENV_OUT, "out")
     from .spectrum import MAX_SEED, FieldError, _check_count
 

@@ -17,8 +17,8 @@ Experiments map diffusion-limit predictions onto ensemble statistics:
   closed-form OU mean/variance (Gaussian stream only).
 * ``finite_sample``: terminal sin^2 at the horizon-tuned stepsize
   vs the predicted rate level, over several horizons.
-* ``phase_portrait``: three-phase crossings of every chain, detected
-  over the whole ensemble at once, plus median sin^2 curves from a saddle start.
+* ``phase_portrait``: three-phase crossings of every chain, plus median sin^2
+  curves from a saddle start, reduced a chunk of records at a time.
 
 ``prepare_<name>`` checks the experiment's inputs once, raising
 :class:`FieldError` naming a bad one, and returns ``run(workers=1)``, which
@@ -48,7 +48,7 @@ from .oja import (
 )
 from .phases import (
     PhaseThresholds,
-    _detect_crossings,
+    _CrossingScan,
     _saddle_index,
     _trailing_window,
     crossing_report,  # unused here; the benchmark tracer patches it on this module
@@ -134,6 +134,7 @@ class EnsembleConfig:
         object.__setattr__(self, "_steps", steps)
 
 
+_CHUNK = 1024  # records the phase portrait reduces at a time
 _FORK_MIN_CHAIN_STEPS = 500_000  # fewer run in one process: a fork costs about 7 ms
 
 
@@ -179,14 +180,16 @@ def _run_forked(base: OjaConfig, n_chains: int, rec_steps: np.ndarray, workers: 
     The children inherit the buffer, an anonymous shared mapping, so nothing is
     pickled.  The parent only waits for them.  If one fails (raises or is killed),
     the parent reruns all chains serially: the kernel is deterministic, so that
-    raises the serial run's exception or returns its states."""
+    raises the serial run's exception or returns its states.  If the parent's wait
+    is left by an exception, an interrupt say, it kills and reaps every child
+    still running and re-raises."""
     import mmap
     import numpy.random  # loaded once here, not once in each child
 
     shape = (len(rec_steps), n_chains, base.spec.d)
     states = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
     bounds = np.linspace(0, n_chains, workers + 1).astype(int)
-    pids = []
+    pids, statuses = [], []
     try:
         for index, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             pid = os.fork()
@@ -207,8 +210,15 @@ def _run_forked(base: OjaConfig, n_chains: int, rec_steps: np.ndarray, workers: 
                 finally:  # reached only when the chunk raised
                     os._exit(1)
             pids.append(pid)
-    finally:
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+        for pid in pids:
+            statuses.append(os.waitpid(pid, 0)[1])
+    except BaseException:  # an interrupt, say: no child may outlive the call
+        import signal
+        for pid in pids[len(statuses):]:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids[len(statuses):]:
+            os.waitpid(pid, 0)
+        raise
     if any(statuses):
         return _run_lockstep(base, range(n_chains), rec_steps, out=states)
     return states
@@ -433,6 +443,8 @@ def prepare_phase_portrait(base: OjaConfig, n_chains: int, delta: float,
 
     The grid for recording is every ``record_stride``-th step of the base
     config (plus endpoints); detection granularity equals that stride.  The
+    states are reduced :data:`_CHUNK` records at a time, through the crossing
+    scan of :mod:`oja_diffusion.phases`, to the same bits as all at once.  The
     summary holds median empirical crossings next to the predictions and the
     median terminal plateau (per-chain trailing-window mean at the horizon).
     """
@@ -446,17 +458,23 @@ def prepare_phase_portrait(base: OjaConfig, n_chains: int, delta: float,
     def run(workers: int = 1) -> ExperimentResult:
         rec_steps = _record_steps(base.n_steps, base.resolved_stride())
         states = run_ensemble_states(base, n_chains, rec_steps, workers=workers)
-        v1sq, sin2 = states[:, :, 0] ** 2, _sin2(states)  # (n_rec, n_chains) each
-        del states  # free the (n_rec, n_chains, d) block before the reductions allocate theirs
-        crossings = _detect_crossings(v1sq, sin2, rec_steps, base, delta)
-
-        quartiles = np.quantile(sin2, [0.25, 0.75], axis=1)
+        # Reduced _CHUNK records at a time: beside the states only one chunk's
+        # (k, n_chains) features, the scan's window of history and the curve are held.
+        scan = _CrossingScan(rec_steps, base, delta, n_chains)
+        curve = np.empty((3, len(rec_steps)))  # median, q25 and q75 of sin^2 per record
+        for lo in range(0, len(rec_steps), _CHUNK):
+            chunk = states[lo:lo + _CHUNK]
+            sin2 = _sin2(chunk)
+            scan.feed(chunk[:, :, 0] ** 2, sin2)
+            curve[:, lo:lo + len(sin2)] = (np.median(sin2, axis=1),
+                                           *np.quantile(sin2, [0.25, 0.75], axis=1))
+        crossings = scan.crossings()
         predicted = predict_crossings(base.spec, base.beta, delta, k)
         # Plateau window: at least the detection window, but no shorter than 10%
         # of the horizon, so the per-chain means average over several correlation
         # times and their median is not skew-biased.
         window = max(_trailing_window(base, rec_steps), len(rec_steps) // 10)
-        tail_mean = sin2[-window:].mean(axis=0)  # per-chain plateau estimate
+        tail_mean = _sin2(states[-window:]).mean(axis=0)  # per-chain plateau estimate
 
         summary = {}
         for name, col in zip(("n1", "n2", "n3"), crossings):
@@ -473,7 +491,7 @@ def prepare_phase_portrait(base: OjaConfig, n_chains: int, delta: float,
         })
         tables = {
             "curve": Table(columns=("step", "median_sin2", "q25_sin2", "q75_sin2"),
-                           data=(rec_steps, np.median(sin2, axis=1), *quartiles)),
+                           data=(rec_steps, *curve)),
             # A phase never reached (-1) is an empty cell.
             "crossings": Table(columns=("chain", "n1", "n2", "n3"),
                                data=(np.arange(n_chains),

@@ -102,6 +102,10 @@ _Z2_MAX = 200.0
 # one tile before it scales them into its coordinate-major buffer.
 _DRAW_TILE = 64
 
+# The bounded kernel bincounts as many chains of a tile at once as keep the
+# (segments, chains, d) int64 counts within this many bytes, and at least one.
+_COUNT_BYTES = 8 << 20
+
 # Default number of recorded states per trajectory (plus endpoints).
 _TARGET_RECORDS = 10_000
 
@@ -523,7 +527,8 @@ def _axis_counts(base: OjaConfig, rngs: list, v0: np.ndarray, rec_steps: np.ndar
     counted :data:`_DRAW_TILE` chains at a time: their axis uniforms fill one
     buffer, their signs are skipped, their axes are found on the axis cdf (by d - 1
     compares for (d - 1) * SAMPLE_BLOCK draws or more), and one ``bincount`` over
-    (segment, chain, axis) counts them, a segment being the draws between two records.
+    (segment, chain, axis) counts them, a segment being the draws between two records;
+    fewer chains share a ``bincount`` when their counts would pass :data:`_COUNT_BYTES`.
     A tile of t chains counts k sample blocks at once, k <= _DRAW_TILE / t and k <=
     SAMPLE_BLOCK / (most records in a sample block): within a full tile's memory.
     """
@@ -541,8 +546,9 @@ def _axis_counts(base: OjaConfig, rngs: list, v0: np.ndarray, rec_steps: np.ndar
 
     def advance(blk: int, offsets: np.ndarray, dest: np.ndarray) -> None:
         segment = offsets[offsets < blk].searchsorted(np.arange(blk), side="right")
-        for lo in range(0, len(rngs), tile):
-            t = min(tile, len(rngs) - lo)
+        per = max(1, min(tile, _COUNT_BYTES // (8 * d * (int(segment[-1]) + 1))))
+        for lo in range(0, len(rngs), per):
+            t = min(per, len(rngs) - lo)
             u = uniforms[:t * blk].reshape(t, blk)
             for row, rng in zip(u, rngs[lo:lo + t]):
                 for i in range(0, blk, SAMPLE_BLOCK):

@@ -121,36 +121,62 @@ def _trailing_window(cfg: OjaConfig, steps: np.ndarray) -> int:
     return max(1, int(round(1.0 / (cfg.beta * cfg.spec.gap) / stride)))
 
 
+class _CrossingScan:
+    """Crossings of every chain, fed its (k, n_chains) v_1^2 and sin^2 records in order.
+
+    Per chain it keeps the record index of the first N1, N2 and N3 hit (n_rec
+    while none), as defined in :func:`detect_phases`, the last cumsum row of
+    sin^2 and a ring of the last ``window`` cumsum rows for the trailing sums.
+    The cumsum runs on across feeds with the adds of one whole-record
+    ``np.cumsum``, so no crossing depends on how the records are split.
+    """
+
+    def __init__(self, steps: np.ndarray, cfg: OjaConfig, delta: float, n_chains: int):
+        self.steps = np.asarray(steps)
+        self.window = _trailing_window(cfg, self.steps)
+        self.levels = (delta, 1.0 - delta, 2.0 * stationary_sin2(cfg.spec, cfg.beta))
+        self.first = np.full((3, n_chains), len(self.steps))
+        self.cumsum = np.zeros(n_chains)
+        self.ring = np.zeros((min(self.window, len(self.steps)), n_chains))
+        self.pos = 0
+
+    def _mark(self, phase: int, hit: np.ndarray) -> None:
+        fresh = (self.first[phase] == len(self.steps)) & hit.any(axis=0)
+        self.first[phase, fresh] = self.pos + hit.argmax(axis=0)[fresh]
+
+    def feed(self, v1sq: np.ndarray, sin2: np.ndarray) -> None:
+        k, window = len(v1sq), self.window
+        rows = np.arange(self.pos, self.pos + k)
+        trailing = sin2.copy()
+        trailing[0] += self.cumsum
+        np.cumsum(trailing, axis=0, out=trailing)
+        self.cumsum = trailing[-1].copy()
+        # C[r - window] of each row r: from the ring while it precedes this feed
+        # (0 before the first window), else from this feed.
+        lag = np.concatenate((self.ring[rows[:window] % window], trailing[:max(k - window, 0)]))
+        self.ring[rows[-window:] % window] = trailing[-window:]
+        trailing -= lag
+        trailing /= np.minimum(rows + 1, window)[:, None]
+        rows = rows[:, None]
+        self._mark(0, v1sq >= self.levels[0])
+        self._mark(1, (v1sq >= self.levels[1]) & (rows >= self.first[0]))
+        self._mark(2, (trailing <= self.levels[2]) & (rows > self.first[1]))
+        self.pos += k
+
+    def crossings(self) -> np.ndarray:
+        """A (3, n_chains) int array of N1, N2 and N3, with -1 where a phase is never reached."""
+        found = self.first < len(self.steps)
+        at = self.steps[np.where(found, self.first, 0)]
+        return np.where(found, [at[0], at[1] - at[0], at[2] - at[1]], -1)
+
+
 def _detect_crossings(
     v1sq: np.ndarray, sin2: np.ndarray, steps: np.ndarray, cfg: OjaConfig, delta: float
 ) -> np.ndarray:
-    """Crossings of every chain from (n_rec, n_chains) v_1^2 and sin^2 records.
-
-    Returns a (3, n_chains) int array of N1, N2 and N3 as defined in
-    :func:`detect_phases`, with -1 where a phase is never reached.
-    """
-    steps = np.asarray(steps)
-    rows = np.arange(len(steps))[:, None]
-    hit = v1sq >= delta
-    found1 = hit.any(axis=0)
-    i1 = hit.argmax(axis=0)
-    hit = (v1sq >= 1.0 - delta) & (rows >= i1)
-    found2 = found1 & hit.any(axis=0)
-    i2 = hit.argmax(axis=0)
-    window = _trailing_window(cfg, steps)
-    trailing = np.cumsum(sin2, axis=0)
-    # Window sums in place, last block first, so no copy of the array is made.
-    for end in range(len(trailing), window, -window):
-        start = max(window, end - window)
-        trailing[start:end] -= trailing[start - window:end - window]
-    trailing /= np.minimum(rows + 1, window)
-    hit = (rows > i2) & (trailing <= 2.0 * stationary_sin2(cfg.spec, cfg.beta))
-    found3 = found2 & hit.any(axis=0)
-    i3 = hit.argmax(axis=0)
-    n1 = steps[i1]
-    return np.where(
-        [found1, found2, found3], [n1, steps[i2] - n1, steps[i3] - steps[i2]], -1
-    )
+    """Crossings of every chain from (n_rec, n_chains) v_1^2 and sin^2: the scan, fed once."""
+    scan = _CrossingScan(steps, cfg, delta, v1sq.shape[1])
+    scan.feed(v1sq, sin2)
+    return scan.crossings()
 
 
 def detect_phases(traj: Trajectory, thresholds: PhaseThresholds) -> EmpiricalCrossings:
@@ -159,7 +185,9 @@ def detect_phases(traj: Trajectory, thresholds: PhaseThresholds) -> EmpiricalCro
     N1 is the first recorded step with v_1^2 >= delta, N2 the further steps
     until v_1^2 >= 1 - delta, and N3 the further steps until the trailing
     mean of sin^2 over a window of 1/(beta * gap) steps falls within twice
-    the stationary level.  Detection granularity is the record stride.
+    the stationary level.  Detection granularity is the record stride.  The
+    trajectory is one chain of the crossing scan the phase portrait feeds in
+    chunks of records.
     """
     v1sq = traj.states[:, :1] ** 2
     sin2 = np.asarray(traj.sin2_angle)[:, None]

@@ -1,5 +1,6 @@
 """End-to-end checks of the experiment CLI: exit codes, manifests, determinism."""
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -820,3 +821,62 @@ def test_manifest_records_requested_workers_and_processes(tmp_path, command, pay
     assert a["workers"] == {"requested": 1, "processes": 1}
     assert b["workers"] == {"requested": workers, "processes": processes}
     assert b["outputs"] == a["outputs"]
+
+
+def _session(sid):
+    """Pids of the live processes in session ``sid``, read from /proc."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):  # not a process, or one that has just gone
+            continue
+        if int(fields[3]) == sid and fields[0] not in "ZX":  # session; zombie or dead
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.exists("/proc/self/stat")
+                    or _worker_count(2, 4, 2_000_000) < 2, reason="needs fork, 2 CPUs and /proc")
+def test_a_signal_to_the_parent_alone_leaves_no_forked_worker(tmp_path):
+    # Two forked mc runs of about 10 s, each in its own session: SIGINT goes to one
+    # parent alone, SIGTERM to the other.  Each parent kills and reaps its
+    # workers, exits 128 + the signal number, and within 1 s nothing of its session is left.
+    import signal
+    import time
+
+    env = dict(os.environ)
+    src = str(Path(oja_diffusion.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cfg = write_cfg(tmp_path, {"experiment": "phase_portrait", "spec": [2, 1], "beta": 1e-5,
+                               "n_steps": 2_000_000, "record_stride": 1_000_000,
+                               "n_chains": 4, "delta": 0.25})
+    procs = {}
+    try:
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            procs[sig] = subprocess.Popen(
+                [sys.executable, "-m", "oja_diffusion.cli", "mc", "--config", cfg, "--out",
+                 str(tmp_path / sig.name), "--workers", "2"],
+                env=env, start_new_session=True, stderr=subprocess.PIPE, text=True)
+        deadline = time.monotonic() + 30
+        while any(len(_session(p.pid)) < 3 for p in procs.values()):  # a parent, two workers
+            assert time.monotonic() < deadline and all(p.poll() is None for p in procs.values())
+            time.sleep(0.01)
+        for sig, proc in procs.items():
+            os.kill(proc.pid, sig)
+        deadline = time.monotonic() + 1
+        for sig, proc in procs.items():
+            assert proc.wait(timeout=max(deadline - time.monotonic(), 0.01)) == 128 + sig
+        while any(_session(p.pid) for p in procs.values()):
+            assert time.monotonic() < deadline, {s.name: _session(p.pid) for s, p in procs.items()}
+            time.sleep(0.01)
+        # Read only now: a worker left alive would hold the pipe open.
+        for sig, proc in procs.items():
+            assert proc.stderr.read() == f"interrupted: {sig.name}\n"
+    finally:
+        for proc in procs.values():
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+            proc.stderr.close()

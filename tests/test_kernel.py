@@ -26,6 +26,7 @@ from oja_diffusion import (
     sample_bounded,
     sample_gaussian,
 )
+from oja_diffusion import oja
 from oja_diffusion.oja import SAMPLE_BLOCK, _renorm_period, _run_lockstep, record_steps
 from oja_diffusion.spectrum import get_sampler
 
@@ -194,6 +195,20 @@ def test_bounded_kernel_does_not_depend_on_the_chain_count(always_fork, d):
         for workers in (1, 2):
             np.testing.assert_array_equal(
                 run_ensemble_states(cfg, n_chains, steps, workers=workers), alone[:, :n_chains])
+
+
+@pytest.mark.parametrize("d", [3, 9])
+def test_bounded_counts_do_not_depend_on_their_byte_budget(monkeypatch, d):
+    # A tile bincounts fewer chains at once when its (segments, chains, d) counts
+    # would pass oja._COUNT_BYTES; the counts are exact, so no state moves.
+    spec = make_spectrum(np.r_[2.0, np.linspace(1.0, 0.1, d - 1)])
+    cfg = OjaConfig(spec=spec, beta=0.5 / (3.0 * spec.trace), n_steps=SAMPLE_BLOCK + 77,
+                    init="uniform", seed=d)
+    steps = np.r_[np.arange(300), np.arange(300, cfg.n_steps + 1, 50)]
+    expected = run_ensemble_states(cfg, 20, steps)
+    for per in (1, 7):  # chains per bincount over the first block's 315 segments
+        monkeypatch.setattr(oja, "_COUNT_BYTES", per * 8 * d * 315)
+        np.testing.assert_array_equal(run_ensemble_states(cfg, 20, steps), expected)
 
 
 @pytest.mark.parametrize("beta, period", [(1e-4, SAMPLE_BLOCK), (0.05, 64)])

@@ -401,6 +401,23 @@ def test_phase_portrait_matches_per_record_and_per_chain_reductions():
         assert row == (c, emp.n1, emp.n2, emp.n3)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_phase_portrait_does_not_depend_on_its_chunk(monkeypatch, always_fork, workers):
+    # The portrait reduces montecarlo._CHUNK records at a time; any chunk, and any
+    # worker count, gives the same tables and summary.
+    base = OjaConfig(spec=SPEC2, beta=2e-2, n_steps=600, init="near_saddle:2:1e-3", seed=5,
+                     sampler="gaussian", record_stride=1)
+    ens = EnsembleConfig(base=base, n_chains=6, t_grid=(0.0,))
+    expected = phase_portrait_experiment(ens, 0.25)
+    assert expected.summary["n_detected_n3"] > 0
+    for chunk in (1, 7, montecarlo._CHUNK):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        res = phase_portrait_experiment(ens, 0.25, workers=workers)
+        assert res.summary == expected.summary
+        for name, table in expected.tables.items():
+            assert res.tables[name].rows == table.rows
+
+
 def test_experiment_deterministic_and_writable(tmp_path, always_fork):
     base = OjaConfig(spec=SPEC2, beta=1e-3, n_steps=1000, init="warm:0.75", seed=3)
     cfg = EnsembleConfig(base=base, n_chains=30, t_grid=(0.5, 1.0))

@@ -27,8 +27,9 @@ from oja_diffusion import (
     table1_rows,
     chain_rng,
 )
-from oja_diffusion.phases import _detect_crossings
-from oja_diffusion.oja import Trajectory
+from oja_diffusion.montecarlo import run_ensemble_states
+from oja_diffusion.oja import Trajectory, _sin2, record_steps
+from oja_diffusion.phases import _CrossingScan, _detect_crossings, _trailing_window
 
 SPEC2 = make_spectrum([2.0, 1.0])
 
@@ -262,3 +263,77 @@ def test_rate_report():
     text = rep.to_text()
     assert "oja-diffusion" in text and "minimax" in text
     json.loads(json.dumps(rep.to_json_dict()))
+
+
+def _whole_record_crossings(v1sq, sin2, steps, cfg, delta):
+    """The detector as it ran on the whole (n_rec, n_chains) record at once, kept as the
+    reference for the scan: any split of the records must give these crossings."""
+    steps = np.asarray(steps)
+    rows = np.arange(len(steps))[:, None]
+    hit = v1sq >= delta
+    found1 = hit.any(axis=0)
+    i1 = hit.argmax(axis=0)
+    hit = (v1sq >= 1.0 - delta) & (rows >= i1)
+    found2 = found1 & hit.any(axis=0)
+    i2 = hit.argmax(axis=0)
+    window = _trailing_window(cfg, steps)
+    trailing = np.cumsum(sin2, axis=0)
+    for end in range(len(trailing), window, -window):
+        start = max(window, end - window)
+        trailing[start:end] -= trailing[start - window:end - window]
+    trailing /= np.minimum(rows + 1, window)
+    hit = (rows > i2) & (trailing <= 2.0 * stationary_sin2(cfg.spec, cfg.beta))
+    found3 = found2 & hit.any(axis=0)
+    i3 = hit.argmax(axis=0)
+    n1 = steps[i1]
+    return np.where(
+        [found1, found2, found3], [n1, steps[i2] - n1, steps[i3] - steps[i2]], -1
+    )
+
+
+def _scan_in_chunks(v1sq, sin2, steps, cfg, delta, chunk):
+    scan = _CrossingScan(steps, cfg, delta, v1sq.shape[1])
+    for lo in range(0, len(steps), chunk):
+        scan.feed(v1sq[lo:lo + chunk], sin2[lo:lo + chunk])
+    return scan.crossings()
+
+
+def _assert_scan_matches_whole_record(v1sq, sin2, steps, cfg, delta, extra_chunks=()):
+    expected = _whole_record_crossings(v1sq, sin2, steps, cfg, delta)
+    window = _trailing_window(cfg, np.asarray(steps))
+    for chunk in {1, 7, window - 1, window, window + 1, len(steps), *extra_chunks} - {0}:
+        found = _scan_in_chunks(v1sq, sin2, steps, cfg, delta, chunk)
+        assert found.dtype == expected.dtype and np.array_equal(found, expected), chunk
+    return expected
+
+
+def test_scan_matches_whole_record_on_ramps_split_at_their_crossings():
+    # Chains that never reach N1, reach only N1, and reach all three, at
+    # crossing rows 250, 750 and 1937; chunks that start or end at each of them.
+    trajs = [_ramp_trajectory(2500, ceiling=c) for c in (0.1, 0.3, 1.0)]
+    v1sq = np.column_stack([t.states[:, 0] ** 2 for t in trajs])
+    sin2 = np.column_stack([t.sin2_angle for t in trajs])
+    found = _assert_scan_matches_whole_record(v1sq, sin2, trajs[0].times, trajs[0].config, 0.25,
+                                              (250, 251, 750, 751, 1937, 1938))
+    assert found.T.tolist() == [[-1, -1, -1], [250, -1, -1], [250, 500, 1937 - 750]]
+
+
+@pytest.mark.parametrize("lambdas, stride", [([2.0, 1.0], 1), ([3.0, 2.0, 1.0], 3),
+                                             (list(range(9, 0, -1)), 1)])
+def test_scan_matches_whole_record_on_ensembles(lambdas, stride):
+    base = OjaConfig(spec=make_spectrum(lambdas), beta=2e-2, n_steps=500,
+                     init="near_saddle:2:1e-3", seed=len(lambdas), sampler="gaussian",
+                     record_stride=stride)
+    steps = record_steps(base.n_steps, stride)
+    states = run_ensemble_states(base, 12, steps)
+    v1sq, sin2 = states[:, :, 0] ** 2, _sin2(states)
+    rows = _whole_record_crossings(v1sq, sin2, steps, base, 0.25)
+    # Chunks whose boundaries fall on chain 0's first-hit rows, and one row later.
+    hit_rows = [int(np.searchsorted(steps, s)) for s in np.cumsum(rows[:, 0]) if s >= 0]
+    found = _assert_scan_matches_whole_record(v1sq, sin2, steps, base, 0.25,
+                                              [r + e for r in hit_rows for e in (0, 1)])
+    assert (found >= 0).any(axis=1).all()  # every phase is reached by some chain
+    # One chain alone, through detect_phases (the scan fed once).
+    traj = Trajectory(config=base, times=steps, states=states[:, 0], sin2_angle=sin2[:, 0])
+    emp = detect_phases(traj, PhaseThresholds(0.25))
+    assert [emp.n1, emp.n2, emp.n3] == [None if n < 0 else n for n in found[:, 0].tolist()]
